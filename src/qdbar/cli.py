@@ -10,13 +10,15 @@ lives only in the manifest.
 
 Exit codes: 0 success, 2 weight-condition violation, 3 numerical failure
 (quadrature/window/resource), 4 property failure (a bound or inverse check
-did not hold), 64 config syntax error, 65 invalid config.
+did not hold), 64 config syntax error, 65 invalid config, 70 internal error
+(an unexpected exception; the manifest records it and its traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ from .limits import (
     norm_convergence, parametrix_convergence, rate_fit, uniform_bound_scan,
 )
 from .operators import (
-    KernelOperatorSpec, QtKernelMode, operator_norm_estimate,
+    MAX_BAND, KernelOperatorSpec, QtKernelMode, operator_norm_estimate,
     schur_analytic_cap, schur_young_bound,
 )
 from .weights import Domain, condition_report, make_family
@@ -51,6 +53,7 @@ EXIT_NUMERICAL = 3
 EXIT_PROPERTY = 4
 EXIT_SYNTAX = 64
 EXIT_INVALID = 65
+EXIT_INTERNAL = 70
 
 DEFAULTS = {
     "t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": 8},
@@ -156,8 +159,12 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
 
     if data["output"]["format"] not in ("csv", "json"):
         raise ConfigInvalidError("output.format must be 'csv' or 'json'")
-    if not data["truncation"]["tail_tol"] > 0:
-        raise ConfigInvalidError("truncation.tail_tol must be positive")
+    tail_tol = data["truncation"]["tail_tol"]
+    if not (isinstance(tail_tol, (int, float)) and math.isfinite(tail_tol) and tail_tol > 0):
+        raise ConfigInvalidError("truncation.tail_tol must be a positive finite number")
+    k_cap = data["truncation"]["k_cap"]
+    if not (isinstance(k_cap, int) and not isinstance(k_cap, bool) and k_cap > 0):
+        raise ConfigInvalidError(f"truncation.k_cap must be a positive integer, got {k_cap!r}")
 
     config = RunConfig(data=data)
     # semantic validation: build every referenced object once before running
@@ -167,7 +174,10 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
         if needs_element:
             if "element" not in data and "elements" not in data:
                 raise ParameterError("config needs an 'element' band spec")
-            config.element_list()
+            for elem in config.element_list():
+                if elem.N > MAX_BAND:
+                    raise ParameterError(
+                        f"element band index N={elem.N} exceeds the cap {MAX_BAND}")
         config.qt_mode()
     except (ParameterError, ValueError, KeyError, TypeError) as exc:
         raise ConfigInvalidError(f"invalid config: {exc}") from exc
@@ -384,6 +394,7 @@ def run_experiment(config: RunConfig, out_dir=None, fmt=None) -> RunArtifacts:
     rows = []
     status = "ok"
     exit_code = EXIT_OK
+    trace = None
     started = time.time()
     try:
         rows, columns, exit_code = _DRIVERS[config.experiment](config, points)
@@ -398,6 +409,11 @@ def run_experiment(config: RunConfig, out_dir=None, fmt=None) -> RunArtifacts:
     except QdbarError as exc:
         status = f"error: {exc}"
         exit_code = EXIT_INVALID
+    except Exception as exc:    # a defect: record it instead of reporting ok
+        import traceback        # only on this path: it adds to every start-up
+        status = f"internal-error: {type(exc).__name__}: {exc}"
+        exit_code = EXIT_INTERNAL
+        trace = traceback.format_exc()
     finally:
         manifest = {
             "experiment": config.experiment,
@@ -407,6 +423,7 @@ def run_experiment(config: RunConfig, out_dir=None, fmt=None) -> RunArtifacts:
             "status": status,
             "points": points,
             "report": str(report_path) if rows else None,
+            "traceback": trace,
         }
         manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return RunArtifacts(report_path=report_path, manifest_path=manifest_path,
@@ -426,7 +443,8 @@ def main(argv=None) -> int:
                     "schur_cap,within_cap. CSV floats use shortest round-trip "
                     "decimals. Exit codes: 0 ok, 2 condition failure, "
                     "3 numerical failure, 4 property failure, 64/65 config "
-                    "syntax/invalid.")
+                    "syntax/invalid, 70 internal error (details in the "
+                    "manifest).")
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory override")

@@ -13,7 +13,9 @@ implemented band-wise with deterministic summation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,14 +83,15 @@ class PowerSum:
     def __call__(self, s):
         s = np.asarray(s)
         if s.dtype != np.longdouble:
-            s = s.astype(np.float64)
+            s = s.astype(np.float64, copy=False)
         r = np.sqrt(s)
         val = np.full(s.shape, self.coeffs[-1], dtype=s.dtype)
-        for a in self.coeffs[-2::-1]:
-            val = val * r + a
+        for a in self.coeffs[-2::-1]:   # Horner in r, in place: no temporaries
+            val *= r
+            val += a
         if self.min_power_half:
-            val = val * r ** self.min_power_half
-        return val
+            val *= r ** self.min_power_half
+        return val if val.ndim else val[()]   # a scalar for a scalar input
 
     def derivative(self) -> "PowerSum":
         j = self.min_power_half + np.arange(self.coeffs.size)
@@ -262,12 +265,16 @@ def _coeff_from_spec(entry):
     kind = entry.get("kind")
     coeffs = entry.get("coeffs")
     if kind == "poly":
-        return PowerSum.poly(coeffs)
-    if kind == "sqrt_poly":
-        return PowerSum.sqrt_poly(coeffs)
-    if kind == "half_power":
-        return PowerSum(coeffs, int(entry.get("min_power", 0)))
-    raise ParameterError(f"unknown coefficient kind {kind!r}")
+        coeff = PowerSum.poly(coeffs)
+    elif kind == "sqrt_poly":
+        coeff = PowerSum.sqrt_poly(coeffs)
+    elif kind == "half_power":
+        coeff = PowerSum(coeffs, int(entry.get("min_power", 0)))
+    else:
+        raise ParameterError(f"unknown coefficient kind {kind!r}")
+    if not np.isfinite(coeff.coeffs).all():
+        raise ParameterError(f"coefficients must be finite, got {coeffs!r}")
+    return coeff
 
 
 def _add_coeffs(a, b):
@@ -403,9 +410,18 @@ class IndexWindow:
 
 def truncation_window(family: WeightFamily, t: float, tail_tol: float,
                       k_cap: int = 20_000_000) -> IndexWindow:
-    """Smallest window whose tail bounds are <= tail_tol (closed-form solve)."""
+    """Smallest window whose tail bounds are <= tail_tol (closed-form solve).
+
+    The cap is checked against the closed-form guess before the exact solve,
+    whose local adjust steps crawl once indices pass 2^53.
+    """
     if tail_tol <= 0:
         raise ParameterError("tail_tol must be positive")
+    guess = family.k_hi_guess(t, tail_tol)
+    if guess - 2.0 > k_cap:
+        raise WindowResourceError(
+            f"window needs indices out to about {guess:.6g}, beyond the cap {k_cap}",
+            needed=math.ceil(guess) if math.isfinite(guess) else guess, cap=k_cap)
     k_hi = family.solve_k_hi(t, tail_tol)
     k_lo = family.solve_k_lo(t, tail_tol)
     needed = max(k_hi, abs(k_lo))
@@ -493,6 +509,24 @@ class BandMatrix:
         return max(vals) if vals else 0.0
 
 
+class _WindowArrays:
+    """w^2, S and (on first use) w = sqrt(w^2) over indices [start, stop).
+
+    Band-level primitives build one per call (per block when streaming) and
+    slice it for every band instead of re-evaluating the weights per band.
+    """
+
+    def __init__(self, family: WeightFamily, t: float, start: int, stop: int,
+                 dtype=np.float64):
+        ks = np.arange(start, stop, dtype=dtype)   # exact integers, no int64 copy
+        self.w_sq = family.weight_sq(t, ks, dtype)
+        self.s = family.s(t, ks, dtype)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return np.sqrt(self.w_sq)
+
+
 def realize_quantum(elem: LambdaElement, family: WeightFamily, t: float,
                     window: IndexWindow, dtype=np.float64) -> BandMatrix:
     """Sample the element's coefficients into a banded matrix at parameter t.
@@ -500,13 +534,13 @@ def realize_quantum(elem: LambdaElement, family: WeightFamily, t: float,
     Band +n holds f_n(w_t(col)^2) at (col+n, col); band -n holds
     g_n(w_t(col-n)^2) at (col-n, col); the diagonal samples its own function.
     """
-    k_lo, k_hi = window.k_lo, window.k_hi
+    K = window.size
+    w_sq = family.weight_sq(t, np.arange(window.k_lo, window.k_hi + 1), dtype)
     bands = {}
     for side, n, coeff in elem.bands():
-        rows = np.arange(k_lo, k_hi - n + 1)   # row index of each entry
-        if rows.size == 0:
+        if n >= K:
             continue
-        vals = coeff(family.weight_sq(t, rows, dtype))
+        vals = coeff(w_sq[:K - n])           # sampled at the row index of each entry
         b = n if side in ("f", "diag") else -n
         if b in bands:
             bands[b] = bands[b] + vals
@@ -521,14 +555,15 @@ def realize_quantum(elem: LambdaElement, family: WeightFamily, t: float,
 
 def quantum_norm(a: BandMatrix, family: WeightFamily, t: float) -> float:
     """Weighted trace norm sqrt(sum S(i)^(1/2) S(j)^(1/2) |a_ij|^2) on the window."""
+    k_lo = a.window.k_lo
+    s = family.s(t, np.arange(k_lo, a.window.k_hi + 1))
     total = 0.0
     for b in sorted(a.bands):
         arr = a.bands[b]
         if arr.size == 0:
             continue
-        lo, hi = a.band_col_range(b)
-        cols = np.arange(lo, hi + 1)
-        mu = np.sqrt(family.s(t, cols + b) * family.s(t, cols))
+        i = a.band_col_range(b)[0] - k_lo
+        mu = np.sqrt(s[i + b:i + b + arr.size] * s[i:i + arr.size])
         total += float(np.sum(mu * arr * arr))
     return float(np.sqrt(total))
 
@@ -543,26 +578,41 @@ def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
     """Quantum norm squared of the element, streamed without realizing it.
 
     Evaluates the banded double sum directly (fused jitted loop per band,
-    fixed-size numpy chunks as fallback), so windows of 10^7-10^8 indices
-    stay within memory.  Matches realize + quantum_norm to rounding.
+    fixed-size numpy blocks as fallback), so windows of 10^7-10^8 indices
+    stay within memory.  Each block evaluates w^2 and S once for all bands.
+    Matches realize + quantum_norm to rounding.
     """
     k_lo, k_hi = window.k_lo, window.k_hi
     fid = FAMILY_IDS[family.kind]
     total = 0.0
+    streamed = []
     for side, n, coeff in elem.bands():
-        lo, hi = k_lo, k_hi - n
-        if hi < lo:
+        if k_hi - n < k_lo:
             continue
         if HAVE_NUMBA and isinstance(coeff, PowerSum):
             total += float(norm_band_sum(
-                fid, t, family.alpha, family.beta, lo, hi, n,
+                fid, t, family.alpha, family.beta, k_lo, k_hi - n, n,
                 np.ascontiguousarray(coeff.coeffs), coeff.min_power_half))
-            continue
-        for start in range(lo, hi + 1, CHUNK):
-            ks = np.arange(start, min(start + CHUNK, hi + 1))
-            mu = np.sqrt(family.s(t, ks + n) * family.s(t, ks))
-            c = coeff(family.weight_sq(t, ks))
-            total += float(np.sum(mu * c * c))
+        else:
+            streamed.append((n, coeff))
+    if not streamed:
+        return total
+    N = max(n for n, _ in streamed)
+    for start in range(k_lo, k_hi + 1, CHUNK):
+        stop = min(start + CHUNK, k_hi + 1)
+        arrays = _WindowArrays(family, t, start, stop + N)
+        for n, coeff in streamed:
+            L = min(stop, k_hi - n + 1) - start   # band n's columns in this block
+            if L <= 0:
+                continue
+            c = coeff(arrays.w_sq[:L])
+            mu = arrays.s[n:n + L] * arrays.s[:L]
+            np.sqrt(mu, out=mu)
+            mu *= c
+            mu *= c
+            total += float(np.sum(mu))
+            del c, mu      # peak memory: one band's temporaries at a time
+        del arrays         # and one block's arrays
     return total
 
 

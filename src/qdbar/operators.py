@@ -23,6 +23,7 @@ the same numbers; the brute path exists as an oracle.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +33,7 @@ import numpy as np
 from ._kernels import HAVE_NUMBA, qt_f_band, qt_g_band
 from .elements import (
     FAMILY_IDS, BandMatrix, DerivedEvaluable, IndexWindow, LambdaElement,
-    PowerSum, Transform,
+    PowerSum, Transform, _WindowArrays,
 )
 from .errors import CapabilityError, ParameterError, WindowResourceError
 from .weights import Domain, WeightFamily
@@ -63,18 +64,24 @@ def apply_Dt(a: BandMatrix, family: WeightFamily, t: float) -> BandMatrix:
     win = a.window
     dtype = np.result_type(*(arr.dtype for arr in a.bands.values())) \
         if a.bands else np.float64
+    # w and S over [k_lo - 1, k_hi]: column col sits at position col - k_lo + 1.
+    # S(k_lo - 1) is never read; on the disk at t = 1 its masked formula
+    # divides by zero.
+    with np.errstate(divide="ignore"):
+        arrays = _WindowArrays(family, t, win.k_lo - 1, win.k_hi + 1, dtype)
+    w, s = arrays.w, arrays.s
+    del arrays      # frees w^2, which the commutator does not use
     out = {}
     for c in sorted(a.bands):
         b = c + 1
         lo, hi = win.k_lo + max(0, -b), win.k_hi - max(0, b)
         if lo > hi:
             continue
-        cols = np.arange(lo, hi + 1)
+        i, L = lo - win.k_lo + 1, hi - lo + 1
         in_vals = _band_at(a, c, lo, hi + 1)          # A_c[col]
         in_next = _band_at(a, c, lo + 1, hi + 2)      # A_c[col+1]
-        num = family.weight(t, cols, dtype) * in_next \
-            - family.weight(t, cols + b - 1, dtype) * in_vals
-        mu = np.sqrt(family.s(t, cols, dtype) * family.s(t, cols + b, dtype))
+        num = w[i:i + L] * in_next - w[i + b - 1:i + b - 1 + L] * in_vals
+        mu = np.sqrt(s[i:i + L] * s[i + b:i + b + L])
         acc = num / mu
         out[b] = out.get(b, 0.0) + acc
     return BandMatrix(win, out, valid_margin=a.valid_margin + 1)
@@ -104,52 +111,50 @@ class _TParts:
     a: np.ndarray      # output-index factor over the window
     b: np.ndarray      # input-index factor over the window
     nu: np.ndarray     # input-space weight mu_(m_in)(i)
-    mu: np.ndarray     # output-space weight mu_(m_out)(k)
     direction: str     # 'suffix' (T1) or 'prefix' (T2)
+    mu: np.ndarray | None = None   # output-space weight mu_(m_out)(k); norm bounds only
 
 
-def _consecutive_product(w_ext: np.ndarray, n: int, length: int, offset: int = 0):
-    """prod_{m=0}^{n-1} w_ext[offset + j + m] for j = 0..length-1."""
-    out = np.ones(length, dtype=w_ext.dtype)
-    for m in range(n):
-        out = out * w_ext[offset + m:offset + m + length]
-    return out
+def _consecutive_products(w: np.ndarray, length: int):
+    """P_0, P_1, ... with P_n[j] = w[j] w[j+1] ... w[j+n-1] for j < length.
+
+    Each product is the previous one times one shifted weight array, so the
+    first n products cost O(n length) in total.
+    """
+    prod = np.ones(length, dtype=w.dtype)
+    for n in itertools.count():
+        yield prod
+        prod = prod * w[n:n + length]
 
 
-def _window_arrays(family, t, window, pad, dtype=np.float64):
-    K = window.size
-    ext = np.arange(window.k_lo, window.k_hi + pad + 1)
-    w_ext = family.weight(t, ext, dtype)
-    s_ext = family.s(t, ext, dtype)
-    return K, w_ext, s_ext
+def _t1_parts(arrays, K, n, mode, p_n, p_next) -> _TParts:
+    """Suffix kernel l^2_(n+1) -> l^2_n (input band f_(n+1), output band +n).
 
-
-def _t1_parts(family, t, window, n, mode, dtype=np.float64) -> _TParts:
-    """Suffix kernel l^2_(n+1) -> l^2_n (input band f_(n+1), output band +n)."""
+    `arrays` covers the window from k_lo on; p_n and p_next are the
+    consecutive-weight products P_n and P_(n+1) over K + 1 columns.
+    """
     if n < 0:
         raise ParameterError("T1 band index must be >= 0")
-    K, w_ext, s_ext = _window_arrays(family, t, window, n + 2, dtype)
-    nu = np.sqrt(s_ext[:K] * s_ext[n + 1:n + 1 + K])
-    mu = np.sqrt(s_ext[:K] * s_ext[n:n + K])
+    s = arrays.s
+    nu = np.sqrt(s[:K] * s[n + 1:n + 1 + K])
     if mode is QtKernelMode.CORRECTED:
-        a = _consecutive_product(w_ext, n, K)                  # w(k)...w(k+n-1)
-        b = 1.0 / _consecutive_product(w_ext, n + 1, K)        # 1/(w(i)...w(i+n))
+        a = p_n[:K]                                  # w(k)...w(k+n-1)
+        b = 1.0 / p_next[:K]                         # 1/(w(i)...w(i+n))
     else:
-        a = _consecutive_product(w_ext, n, K, offset=1) / w_ext[n:n + K]
-        b = 1.0 / _consecutive_product(w_ext, n, K, offset=1)  # 1/(w(i+1)...w(i+n))
-    return _TParts(a=a, b=b, nu=nu, mu=mu, direction="suffix")
+        a = p_n[1:K + 1] / arrays.w[n:n + K]
+        b = 1.0 / p_n[1:K + 1]                       # 1/(w(i+1)...w(i+n))
+    return _TParts(a=a, b=b, nu=nu, direction="suffix")
 
 
-def _t2_parts(family, t, window, n, dtype=np.float64) -> _TParts:
+def _t2_parts(arrays, K, n, p_n) -> _TParts:
     """Prefix kernel l^2_(n-1) -> l^2_n (input band g_(n-1), output band -n)."""
     if n < 1:
         raise ParameterError("T2 band index must be >= 1")
-    K, w_ext, s_ext = _window_arrays(family, t, window, n + 1, dtype)
-    nu = np.sqrt(s_ext[:K] * s_ext[n - 1:n - 1 + K])
-    mu = np.sqrt(s_ext[:K] * s_ext[n:n + K])
-    prod = _consecutive_product(w_ext, n, K)                   # w(j)...w(j+n-1)
-    return _TParts(a=1.0 / prod, b=prod / w_ext[n - 1:n - 1 + K],
-                   nu=nu, mu=mu, direction="prefix")
+    s = arrays.s
+    nu = np.sqrt(s[:K] * s[n - 1:n - 1 + K])
+    prod = p_n[:K]                                   # w(j)...w(j+n-1)
+    return _TParts(a=1.0 / prod, b=prod / arrays.w[n - 1:n - 1 + K],
+                   nu=nu, direction="prefix")
 
 
 def _scan(vals: np.ndarray, direction: str) -> np.ndarray:
@@ -197,38 +202,51 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
     apply_fn = _t_apply if path == "fast" else _t_apply_brute
     use_kernels = (path == "fast" and HAVE_NUMBA and dtype == np.float64)
     fid = FAMILY_IDS[family.kind]
-    svals = None
+    K = window.size
     bands = {}
+    suffix, prefix = {}, {}     # output band index n -> input coefficient
     for side, m, coeff in elem.bands():
         jitted = use_kernels and isinstance(coeff, PowerSum)
-        if not jitted and svals is None:
-            ks = np.arange(window.k_lo, window.k_hi + 1)
-            svals = family.weight_sq(t, ks, dtype)
         if side == "f":
             n = m - 1
-            if jitted:
-                vals = qt_f_band(fid, t, family.alpha, family.beta,
-                                 window.k_lo, window.k_hi, n,
-                                 np.ascontiguousarray(coeff.coeffs),
-                                 coeff.min_power_half,
-                                 mode is QtKernelMode.CORRECTED)
-            else:
-                vals = -apply_fn(_t1_parts(family, t, window, n, mode, dtype),
-                                 coeff(svals))
-            lo, hi = window.k_lo, window.k_hi - n
-            bands[n] = bands.get(n, 0.0) + vals[:hi - lo + 1]
+            if not jitted:
+                suffix[n] = coeff
+                continue
+            vals = qt_f_band(fid, t, family.alpha, family.beta,
+                             window.k_lo, window.k_hi, n,
+                             np.ascontiguousarray(coeff.coeffs),
+                             coeff.min_power_half,
+                             mode is QtKernelMode.CORRECTED)
+            bands[n] = bands.get(n, 0.0) + vals[:K - n]
         else:                       # diagonal enters as g_0
             n = m + 1
-            if jitted:
-                vals = qt_g_band(fid, t, family.alpha, family.beta,
-                                 window.k_lo, window.k_hi, n,
-                                 np.ascontiguousarray(coeff.coeffs),
-                                 coeff.min_power_half)
-            else:
-                vals = apply_fn(_t2_parts(family, t, window, n, dtype),
-                                coeff(svals))
-            lo, hi = window.k_lo, window.k_hi - n
-            bands[-n] = bands.get(-n, 0.0) + vals[:hi - lo + 1]
+            if not jitted:
+                prefix[n] = coeff
+                continue
+            vals = qt_g_band(fid, t, family.alpha, family.beta,
+                             window.k_lo, window.k_hi, n,
+                             np.ascontiguousarray(coeff.coeffs),
+                             coeff.min_power_half)
+            bands[-n] = bands.get(-n, 0.0) + vals[:K - n]
+    if not (suffix or prefix):
+        return BandMatrix(window, bands, valid_margin=0)
+
+    top = max([*suffix, *prefix])
+    # K + top + 1 indices: P_(top+1) reads w up to position top + K
+    arrays = _WindowArrays(family, t, window.k_lo, window.k_hi + top + 2, dtype)
+    svals = arrays.w_sq[:K]
+    products = _consecutive_products(arrays.w, K + 1)
+    p_n = next(products)
+    for n in range(top + 1):
+        p_next = next(products)
+        if n in suffix:
+            vals = -apply_fn(_t1_parts(arrays, K, n, mode, p_n, p_next),
+                             suffix[n](svals))
+            bands[n] = bands.get(n, 0.0) + vals[:K - n]
+        if n in prefix:
+            vals = apply_fn(_t2_parts(arrays, K, n, p_n), prefix[n](svals))
+            bands[-n] = bands.get(-n, 0.0) + vals[:K - n]
+        p_n = p_next
     return BandMatrix(window, bands, valid_margin=0)
 
 
@@ -319,15 +337,22 @@ class KernelOperatorSpec:
     coefficient: object = None   # optional input-coefficient weighting
 
     def parts(self, mode: QtKernelMode) -> _TParts:
-        if self.kind == "T1":
-            parts = _t1_parts(self.family, self.t, self.window, self.n, mode)
-        elif self.kind == "T2":
-            parts = _t2_parts(self.family, self.t, self.window, self.n)
-        else:
+        if self.kind not in ("T1", "T2"):
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
+        n, K = self.n, self.window.size
+        arrays = _WindowArrays(self.family, self.t, self.window.k_lo,
+                               self.window.k_hi + max(n, 0) + 2)
+        products = _consecutive_products(arrays.w, K + 1)
+        for _ in range(n):
+            next(products)
+        p_n = next(products)
+        if self.kind == "T1":
+            parts = _t1_parts(arrays, K, n, mode, p_n, next(products))
+        else:
+            parts = _t2_parts(arrays, K, n, p_n)
+        parts.mu = np.sqrt(arrays.s[:K] * arrays.s[n:n + K])
         if self.coefficient is not None:
-            ks = np.arange(self.window.k_lo, self.window.k_hi + 1)
-            parts.b = parts.b * np.abs(self.coefficient(self.family.weight_sq(self.t, ks)))
+            parts.b = parts.b * np.abs(self.coefficient(arrays.w_sq[:K]))
         return parts
 
 
@@ -393,14 +418,15 @@ def operator_norm_estimate(spec: KernelOperatorSpec,
     if iters < 1:
         raise ParameterError("iters must be >= 1")
     p = spec.parts(mode)
-    rnu, rmu = np.sqrt(p.nu), np.sqrt(p.mu)
+    out_w = np.sqrt(p.mu) * p.a     # output-side factor, fixed across iterations
+    in_w = p.b * np.sqrt(p.nu)      # input-side factor
     other = "prefix" if p.direction == "suffix" else "suffix"
 
     def forward(x):
-        return rmu * p.a * _scan(p.b * rnu * x, p.direction)
+        return out_w * _scan(in_w * x, p.direction)
 
     def adjoint(y):
-        return p.b * rnu * _scan(rmu * p.a * y, other)
+        return in_w * _scan(out_w * y, other)
 
     v = np.ones(p.a.size)
     v /= np.linalg.norm(v)

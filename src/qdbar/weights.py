@@ -110,19 +110,28 @@ class WeightFamily:
             return self.beta / (1.0 + t * abs(k_lo))
         return float(self.weight_sq(t, k_lo)) - self.w_minus**2
 
-    def solve_k_hi(self, t, tol):
-        """Smallest k with tail_bound_hi(t, k) <= tol (closed form, then local adjust)."""
+    def k_hi_guess(self, t, tol):
+        """Closed-form real solution of tail_bound_hi(t, k) = tol.
+
+        solve_k_hi starts from it; the exact integer answer lies within a few
+        units of it wherever floats still resolve single indices.
+        """
         _check_t(t)
         if tol <= 0:
             raise ParameterError("tail tolerance must be positive")
         if self.kind is FamilyKind.UNILATERAL_EXAMPLE:
-            guess = (1.0 / tol - 1.0) / t - 1.0
-        elif self.kind is FamilyKind.BILATERAL_RATIONAL:
-            guess = (self.beta / tol - 1.0) / t
-        else:
-            x = tol / self.beta
-            guess = 1.0 / (t * math.tan(x)) if x < math.pi / 2 else 0.0
-        k = max(0, math.ceil(guess - 2.0))
+            return (1.0 / tol - 1.0) / t - 1.0
+        if self.kind is FamilyKind.BILATERAL_RATIONAL:
+            return (self.beta / tol - 1.0) / t
+        x = tol / self.beta
+        if x >= math.pi / 2:
+            return 0.0
+        d = t * math.tan(x)
+        return 1.0 / d if d > 0.0 else math.inf   # d underflows for tiny tol
+
+    def solve_k_hi(self, t, tol):
+        """Smallest k with tail_bound_hi(t, k) <= tol (closed form, then local adjust)."""
+        k = max(0, math.ceil(self.k_hi_guess(t, tol) - 2.0))
         while self.tail_bound_hi(t, k) > tol:
             k += 1
         while k > 0 and self.tail_bound_hi(t, k - 1) <= tol:

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from qdbar import cli
 from qdbar.cli import (
-    EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_PROPERTY, EXIT_SYNTAX,
-    emit_config, main, parse_config, run_experiment,
+    EXIT_INTERNAL, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_PROPERTY,
+    EXIT_SYNTAX, emit_config, main, parse_config, run_experiment,
 )
 from qdbar.errors import ConfigInvalidError, ConfigSyntaxError
 
@@ -53,6 +54,27 @@ class TestParseConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigInvalidError):
             parse_config(minimal_config(experiment="frobnicate"))
+
+    @pytest.mark.parametrize("extra", [
+        {"truncation": {"k_cap": "abc"}},
+        {"truncation": {"k_cap": 0}},
+        {"truncation": {"k_cap": -5}},
+        {"truncation": {"k_cap": 1.5e7}},
+        {"truncation": {"k_cap": True}},
+        {"truncation": {"tail_tol": "abc"}},
+        {"element": [{"side": "g", "n": 1, "kind": "poly", "coeffs": [float("nan")]}]},
+        {"element": [{"side": "f", "n": 2, "kind": "poly", "coeffs": [1.0, float("inf")]}]},
+        {"element": [{"side": "f", "n": 17, "kind": "poly", "coeffs": [1.0]}]},
+    ], ids=["k_cap-str", "k_cap-zero", "k_cap-negative", "k_cap-float",
+            "k_cap-bool", "tail_tol-str", "coeff-nan", "coeff-inf", "N-over-cap"])
+    def test_rejects_invalid_values(self, tmp_path, extra):
+        text = minimal_config(**extra)
+        with pytest.raises(ConfigInvalidError):
+            parse_config(text)
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(text)
+        assert main(["norms", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == EXIT_INVALID
 
 
 class TestRunExperiment:
@@ -132,6 +154,19 @@ class TestRunExperiment:
         assert art.exit_code == EXIT_NUMERICAL
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"].startswith("numerical-failure")
+
+    def test_internal_error_manifest(self, tmp_path, monkeypatch):
+        def broken(config, points):
+            raise TypeError("unsupported operand")
+        monkeypatch.setitem(cli._DRIVERS, "norms", broken)
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(minimal_config(t_grid=[0.3]))
+        assert main(["norms", "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == EXIT_INTERNAL
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "internal-error: TypeError: unsupported operand"
+        assert "TypeError" in manifest["traceback"]
+        assert manifest["report"] is None
 
     def test_uniform_bound(self, tmp_path):
         cfg = parse_config(json.dumps({

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestTruncationWindow:
             truncation_window(disk(), 0.001, 1e-6, k_cap=10_000)
         assert exc.value.needed > 10_000
 
+    @pytest.mark.parametrize("fam", [
+        disk(), annulus(), make_family("bilateral_arctan", alpha=1.0, beta=0.5)])
+    @pytest.mark.parametrize("tol", [1e-22, 1e-300, 1e-320])
+    def test_resource_error_in_bounded_time(self, fam, tol):
+        # beyond 2^53 the exact solve's +-1 steps no longer move the float index
+        started = time.perf_counter()
+        with pytest.raises(WindowResourceError):
+            truncation_window(fam, 0.5, tol, k_cap=1000)
+        assert time.perf_counter() - started < 1.0
+
     @pytest.mark.parametrize("fam", [disk(), annulus()])
     @pytest.mark.parametrize("t", [0.5, 0.07])
     @pytest.mark.parametrize("tol", [1e-2, 1e-4, 3.3e-5])
@@ -209,6 +220,27 @@ class TestQuantumNorm:
             streamed = lambda_norm_sq(e, fam, t, win)
             realized = quantum_norm(realize_quantum(e, fam, t, win), fam, t) ** 2
             assert streamed == pytest.approx(realized, rel=1e-13)
+
+
+    @pytest.mark.parametrize("fam, k_lo, k_hi", [
+        (disk(), 0, 2), (disk(), 0, 42), (disk(), 0, 47),
+        (annulus(), -20, 25), (annulus(), -9, 41)])
+    def test_streamed_across_chunk_boundaries(self, monkeypatch, fam, k_lo, k_hi):
+        # window sizes 3, 43, 48, 46, 51: none a multiple of the chunk, and the
+        # last block of 43 holds fewer indices than the band offset 3
+        monkeypatch.setattr("qdbar.elements.CHUNK", 7)
+        t = 0.2
+        win = window_from_range(fam, t, k_lo, k_hi)
+        e = make_element([
+            {"side": "diag", "n": 0, "kind": "poly", "coeffs": [0.5, 1.0]},
+            {"side": "f", "n": 1, "kind": "sqrt_poly", "coeffs": [1.0, 2.0]},
+            {"side": "f", "n": 3, "kind": "poly", "coeffs": [1.0, 0.0, 1.0]},
+            {"side": "g", "n": 2, "kind": "poly", "coeffs": [2.0, -1.0]},
+            {"side": "g", "n": 3, "kind": "poly", "coeffs": [1.0]},
+        ])
+        streamed = lambda_norm_sq(e, fam, t, win)
+        realized = quantum_norm(realize_quantum(e, fam, t, win), fam, t) ** 2
+        assert streamed == pytest.approx(realized, rel=1e-13)
 
 
 def LambdaElementSingle(side, n, coeff):
