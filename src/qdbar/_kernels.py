@@ -1,113 +1,9 @@
-"""Fused single-pass kernels for the hot loops, jitted when numba is present.
+"""Placeholder for the removed jit kernels.
 
-Single-threaded on purpose: sequential accumulation keeps every result
-bit-reproducible run to run and matches the summation order of the numpy
-scan path (cumsum semantics).  Callers fall back to the vectorized numpy
-implementations when numba is unavailable or the dtype/coefficient type is
-outside what the kernels cover (extended precision, transform coefficients).
+Every band primitive has one numpy implementation, so nothing is compiled.
+The module stays only because the benchmark driver (perfbench/run.py)
+records `HAVE_NUMBA` in each run's environment block; the value is accurate,
+since no jit path remains.
 """
 
-import math
-
-import numpy as np
-
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-FAM_UNILATERAL = 0
-FAM_RATIONAL = 1
-FAM_ARCTAN = 2
-
-
-@njit(cache=True, inline="always")
-def _w2(fid, t, alpha, beta, k):
-    if fid == FAM_UNILATERAL:
-        if k < 0:
-            return 0.0
-        m = (k + 1.0) * t
-        return m / (1.0 + m)
-    if fid == FAM_RATIONAL:
-        return alpha + beta * t * k / (1.0 + t * abs(k))
-    return alpha + beta * math.atan(t * k)
-
-
-@njit(cache=True, inline="always")
-def _s(fid, t, alpha, beta, k):
-    if fid == FAM_UNILATERAL:
-        if k < 0:
-            return 0.0
-        return t / ((1.0 + k * t) * (1.0 + (k + 1.0) * t))
-    if fid == FAM_RATIONAL:
-        return beta * t / ((1.0 + t * abs(k)) * (1.0 + t * abs(k - 1.0)))
-    return beta * math.atan(t / (1.0 + t * t * k * (k - 1.0)))
-
-
-@njit(cache=True, inline="always")
-def _coeff(r, coeffs, min_pow):
-    v = coeffs[coeffs.shape[0] - 1]
-    for j in range(coeffs.shape[0] - 2, -1, -1):
-        v = v * r + coeffs[j]
-    if min_pow != 0:
-        v *= r ** min_pow
-    return v
-
-
-@njit(cache=True)
-def norm_band_sum(fid, t, alpha, beta, k0, k1, n, coeffs, min_pow):
-    """sum over k of sqrt(S(k) S(k+n)) |c(w(k)^2)|^2, ascending k."""
-    total = 0.0
-    for k in range(k0, k1 + 1):
-        s0 = _s(fid, t, alpha, beta, k)
-        sn = _s(fid, t, alpha, beta, k + n)
-        v = _coeff(math.sqrt(_w2(fid, t, alpha, beta, k)), coeffs, min_pow)
-        total += math.sqrt(s0 * sn) * v * v
-    return total
-
-
-@njit(cache=True)
-def qt_g_band(fid, t, alpha, beta, k_lo, k_hi, n, coeffs, min_pow):
-    """Prefix-sum kernel band: out[j] = (sum_{i<=j} c_i) / prod_n(j)."""
-    out = np.empty(k_hi - k_lo + 1)
-    acc = 0.0
-    for k in range(k_lo, k_hi + 1):
-        v = _coeff(math.sqrt(_w2(fid, t, alpha, beta, k)), coeffs, min_pow)
-        prod = 1.0
-        for m in range(n):
-            prod *= math.sqrt(_w2(fid, t, alpha, beta, k + m))
-        wlast = math.sqrt(_w2(fid, t, alpha, beta, k + n - 1))
-        mu = math.sqrt(_s(fid, t, alpha, beta, k) * _s(fid, t, alpha, beta, k + n - 1))
-        acc += prod * mu * v / wlast
-        out[k - k_lo] = acc / prod
-    return out
-
-
-@njit(cache=True)
-def qt_f_band(fid, t, alpha, beta, k_lo, k_hi, n, coeffs, min_pow, corrected):
-    """Suffix-sum kernel band: out[k] = -a(k) * sum_{i>=k} d_i, descending k."""
-    out = np.empty(k_hi - k_lo + 1)
-    acc = 0.0
-    for k in range(k_hi, k_lo - 1, -1):
-        v = _coeff(math.sqrt(_w2(fid, t, alpha, beta, k)), coeffs, min_pow)
-        mu = math.sqrt(_s(fid, t, alpha, beta, k) * _s(fid, t, alpha, beta, k + n + 1))
-        wn = math.sqrt(_w2(fid, t, alpha, beta, k + n))
-        if corrected:
-            prod = 1.0
-            for m in range(n):
-                prod *= math.sqrt(_w2(fid, t, alpha, beta, k + m))
-            acc += mu * v / (prod * wn)
-            out[k - k_lo] = -prod * acc
-        else:
-            prod = 1.0
-            for m in range(1, n + 1):
-                prod *= math.sqrt(_w2(fid, t, alpha, beta, k + m))
-            acc += mu * v / prod
-            out[k - k_lo] = -(prod / wn) * acc
-    return out
+HAVE_NUMBA = False

@@ -115,6 +115,16 @@ def emit_config(config: RunConfig) -> str:
     return json.dumps(config.data, indent=2, sort_keys=True)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; bools are excluded."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     """Parse and validate a JSON run description, filling documented defaults."""
     try:
@@ -131,8 +141,9 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     for key, val in DEFAULTS.items():
         if key not in data:
             data[key] = json.loads(json.dumps(val))
-        elif isinstance(val, dict) and isinstance(data[key], dict) \
-                and key != "t_grid":
+        elif isinstance(val, dict) and key != "t_grid":
+            if not isinstance(data[key], dict):
+                raise ConfigInvalidError(f"{key} must be an object")
             merged = json.loads(json.dumps(val))
             merged.update(data[key])
             data[key] = merged
@@ -151,19 +162,30 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     if not isinstance(grid, dict):
         raise ConfigInvalidError("t_grid must be a list or an object")
     if grid.get("kind") == "explicit":
-        grid["values"] = sorted(float(v) for v in grid["values"])[::-1]
-        if not grid["values"] or any(not (0 < v < 1) for v in grid["values"]):
-            raise ConfigInvalidError("explicit t_grid values must lie in (0, 1)")
-    elif grid.get("kind") != "geometric":
+        values = grid.get("values")
+        if not (isinstance(values, list) and values
+                and all(_is_number(v) and 0 < v < 1 for v in values)):
+            raise ConfigInvalidError("explicit t_grid values must be numbers in (0, 1)")
+        grid["values"] = sorted(float(v) for v in values)[::-1]
+    elif grid.get("kind") == "geometric":
+        if not all(_is_number(grid.get(key)) and 0 < grid[key] < 1
+                   for key in ("head", "ratio")):
+            raise ConfigInvalidError("geometric t_grid head and ratio must be numbers in (0, 1)")
+        if not _is_positive_int(grid.get("count")):
+            raise ConfigInvalidError(
+                f"geometric t_grid count must be a positive integer, got {grid.get('count')!r}")
+    else:
         raise ConfigInvalidError("t_grid.kind must be 'geometric' or 'explicit'")
 
     if data["output"]["format"] not in ("csv", "json"):
         raise ConfigInvalidError("output.format must be 'csv' or 'json'")
+    if not isinstance(data["output"]["directory"], str):
+        raise ConfigInvalidError("output.directory must be a string")
     tail_tol = data["truncation"]["tail_tol"]
-    if not (isinstance(tail_tol, (int, float)) and math.isfinite(tail_tol) and tail_tol > 0):
+    if not (_is_number(tail_tol) and tail_tol > 0):
         raise ConfigInvalidError("truncation.tail_tol must be a positive finite number")
     k_cap = data["truncation"]["k_cap"]
-    if not (isinstance(k_cap, int) and not isinstance(k_cap, bool) and k_cap > 0):
+    if not _is_positive_int(k_cap):
         raise ConfigInvalidError(f"truncation.k_cap must be a positive integer, got {k_cap!r}")
 
     config = RunConfig(data=data)
@@ -426,8 +448,7 @@ def run_experiment(config: RunConfig, out_dir=None, fmt=None) -> RunArtifacts:
             "traceback": trace,
         }
         manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return RunArtifacts(report_path=report_path, manifest_path=manifest_path,
-                        exit_code=exit_code, rows=rows)
+    return RunArtifacts(report_path, manifest_path, exit_code, rows)
 
 
 def main(argv=None) -> int:

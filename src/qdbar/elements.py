@@ -19,12 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import (
-    FAM_ARCTAN, FAM_RATIONAL, FAM_UNILATERAL, HAVE_NUMBA, norm_band_sum,
-)
 from .errors import CapabilityError, ParameterError, WindowResourceError
-from .quadrature import cumulative_integrals, integrate, integrate_with_error
-from .weights import Domain, FamilyKind, WeightFamily
+from .quadrature import cumulative_integrals, integrate
+from .weights import Domain, WeightFamily
 
 CHUNK = 1 << 22  # fixed streaming block size; fixed => deterministic sums
 
@@ -141,12 +138,6 @@ class PowerSum:
             return "sqrt_poly"
         return "half_power"
 
-    def sup_abs(self, lo, hi, samples=513):
-        s = np.linspace(lo, hi, samples)
-        if self.min_power_half < 0:
-            s = s[s > 0]
-        return float(np.max(np.abs(self(s)))) if s.size else 0.0
-
 
 class Transform:
     """Quadrature-backed coefficient  s^p * integral of a base function.
@@ -226,12 +217,6 @@ class Transform:
         out = out.reshape(np.asarray(s).shape)
         return float(out) if np.isscalar(s) else out
 
-    def sup_abs(self, lo, hi, samples=513):
-        s = np.linspace(lo, hi, samples)
-        if self.p_half < 0:
-            s = s[s > 0]
-        return float(np.max(np.abs(self(s)))) if s.size else 0.0
-
 
 class DerivedEvaluable:
     """Pointwise combination  sqrt(s) c'(s) + (sign * n / (2 sqrt(s))) c(s).
@@ -252,11 +237,6 @@ class DerivedEvaluable:
         r = np.sqrt(arr)
         out = r * self.base.derivative_at(arr) + self.sign * self.n / (2.0 * r) * self.base(arr)
         return float(out) if np.isscalar(s) else out
-
-    def sup_abs(self, lo, hi, samples=513):
-        s = np.linspace(lo, hi, samples)
-        s = s[s > 0]
-        return float(np.max(np.abs(self(s)))) if s.size else 0.0
 
 
 def _coeff_from_spec(entry):
@@ -337,11 +317,6 @@ class LambdaElement:
             return NotImplemented
         return (self.f_bands == other.f_bands and self.g_bands == other.g_bands
                 and self.diagonal == other.diagonal)
-
-    def sup_abs(self, family: WeightFamily) -> float:
-        lo, hi = family.w_minus**2, family.w_plus**2
-        sups = [c.sup_abs(lo, hi) for _, _, c in self.bands()]
-        return max(sups) if sups else 0.0
 
 
 def make_element(band_spec) -> LambdaElement:
@@ -444,24 +419,6 @@ def window_from_range(family: WeightFamily, t: float, k_lo: int, k_hi: int) -> I
     lo = family.tail_bound_lo(t, k_lo) if family.domain is Domain.ANNULUS else 0.0
     return IndexWindow(k_lo=k_lo, k_hi=k_hi, tail_tol=max(hi, lo),
                        tail_bound_hi=hi, tail_bound_lo=lo)
-
-
-def search_window_size(family: WeightFamily, t: float, tail_tol: float,
-                       k_cap: int = 20_000_000) -> int:
-    """Doubling-then-bisect solve for the upper window edge (closed-form oracle)."""
-    hi = 1
-    while family.tail_bound_hi(t, hi) > tail_tol:
-        hi *= 2
-        if hi > 4 * k_cap:
-            raise WindowResourceError("window search exceeded cap", needed=hi, cap=k_cap)
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if family.tail_bound_hi(t, mid) <= tail_tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 class BandMatrix:
@@ -568,40 +525,25 @@ def quantum_norm(a: BandMatrix, family: WeightFamily, t: float) -> float:
     return float(np.sqrt(total))
 
 
-FAMILY_IDS = {FamilyKind.UNILATERAL_EXAMPLE: FAM_UNILATERAL,
-              FamilyKind.BILATERAL_RATIONAL: FAM_RATIONAL,
-              FamilyKind.BILATERAL_ARCTAN: FAM_ARCTAN}
-
-
 def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
                    window: IndexWindow) -> float:
     """Quantum norm squared of the element, streamed without realizing it.
 
-    Evaluates the banded double sum directly (fused jitted loop per band,
-    fixed-size numpy blocks as fallback), so windows of 10^7-10^8 indices
-    stay within memory.  Each block evaluates w^2 and S once for all bands.
-    Matches realize + quantum_norm to rounding.
+    Evaluates the banded double sum directly in fixed-size blocks of CHUNK
+    indices, so windows of 10^7-10^8 indices stay within memory.  Each block
+    evaluates w^2 and S once for all bands.  Matches realize + quantum_norm
+    to rounding.
     """
     k_lo, k_hi = window.k_lo, window.k_hi
-    fid = FAMILY_IDS[family.kind]
+    bands = [(n, coeff) for _, n, coeff in elem.bands() if k_hi - n >= k_lo]
+    if not bands:
+        return 0.0
+    N = max(n for n, _ in bands)
     total = 0.0
-    streamed = []
-    for side, n, coeff in elem.bands():
-        if k_hi - n < k_lo:
-            continue
-        if HAVE_NUMBA and isinstance(coeff, PowerSum):
-            total += float(norm_band_sum(
-                fid, t, family.alpha, family.beta, k_lo, k_hi - n, n,
-                np.ascontiguousarray(coeff.coeffs), coeff.min_power_half))
-        else:
-            streamed.append((n, coeff))
-    if not streamed:
-        return total
-    N = max(n for n, _ in streamed)
     for start in range(k_lo, k_hi + 1, CHUNK):
         stop = min(start + CHUNK, k_hi + 1)
         arrays = _WindowArrays(family, t, start, stop + N)
-        for n, coeff in streamed:
+        for n, coeff in bands:
             L = min(stop, k_hi - n + 1) - start   # band n's columns in this block
             if L <= 0:
                 continue

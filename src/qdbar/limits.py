@@ -118,8 +118,7 @@ def norm_convergence(elem, family, t_grid, tail_tol: float,
 
 def parametrix_convergence(elem, family, t_grid, tail_tol: float,
                            mode: QtKernelMode = QtKernelMode.CORRECTED,
-                           k_cap: int = DEFAULT_K_CAP,
-                           path: str = "fast") -> ConvergenceSeries:
+                           k_cap: int = DEFAULT_K_CAP) -> ConvergenceSeries:
     """Per t: quantum norm of (parametrix applied at t) minus (classical
     parametrix image realized at t), matched kernel conventions."""
     ts = _check_grid(t_grid)
@@ -127,7 +126,7 @@ def parametrix_convergence(elem, family, t_grid, tail_tol: float,
     records = []
     for t in ts:
         win = _window(family, t, tail_tol, k_cap)
-        qx = apply_Qt(elem, family, t, win, mode, path=path)
+        qx = apply_Qt(elem, family, t, win, mode)
         yt = realize_quantum(y, family, t, win)
         primary = quantum_norm(qx - yt, family, t)
         records.append(SeriesRecord(

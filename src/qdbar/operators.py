@@ -17,8 +17,8 @@ hold identically on trusted entries.  The g-side is the same in both modes.
 Classically the modes correspond to the kernels r^(n-1)/rho^n and
 r^n/rho^(n+1) in the explicit inverse of d-bar.
 
-Both paths of apply_Qt (fast O(K) scans, literal O(K^2) double sums) compute
-the same numbers; the brute path exists as an oracle.
+apply_Qt evaluates each kernel band as one O(K) prefix or suffix scan; the
+tests check it against the literal O(K^2) double sums.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import HAVE_NUMBA, qt_f_band, qt_g_band
 from .elements import (
-    FAMILY_IDS, BandMatrix, DerivedEvaluable, IndexWindow, LambdaElement,
-    PowerSum, Transform, _WindowArrays,
+    BandMatrix, DerivedEvaluable, IndexWindow, LambdaElement, PowerSum,
+    Transform, _WindowArrays,
 )
 from .errors import CapabilityError, ParameterError, WindowResourceError
 from .weights import Domain, WeightFamily
@@ -164,27 +163,13 @@ def _scan(vals: np.ndarray, direction: str) -> np.ndarray:
 
 
 def _t_apply(parts: _TParts, x: np.ndarray) -> np.ndarray:
-    """The kernel operator applied to coefficient samples (fast scan path)."""
+    """The kernel operator applied to coefficient samples, as one scan."""
     return parts.a * _scan(parts.b * parts.nu * x, parts.direction)
-
-
-def _t_apply_brute(parts: _TParts, x: np.ndarray) -> np.ndarray:
-    """Literal triangular double sum; O(K^2) oracle for the scan path."""
-    weighted = parts.b * parts.nu * x
-    K = x.size
-    out = np.empty(K, dtype=weighted.dtype)
-    if parts.direction == "prefix":
-        for k in range(K):
-            out[k] = parts.a[k] * weighted[:k + 1].sum()
-    else:
-        for k in range(K):
-            out[k] = parts.a[k] * weighted[k:].sum()
-    return out
 
 
 def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
              window: IndexWindow, mode: QtKernelMode = QtKernelMode.CORRECTED,
-             path: str = "fast", dtype=np.float64) -> BandMatrix:
+             *, dtype=np.float64) -> BandMatrix:
     """Band-wise parametrix application.
 
     Input band f_(n+1) produces output band +n (sign flipped); input band
@@ -193,41 +178,18 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
     annulus the omitted mass below k_lo is controlled by the window's lower
     tail bound.
     """
-    if path not in ("fast", "brute"):
-        raise ParameterError(f"unknown path {path!r}")
     if elem.N > MAX_BAND:
         raise WindowResourceError(
             f"element band count N={elem.N} exceeds the kernel product cap {MAX_BAND}",
             needed=elem.N, cap=MAX_BAND)
-    apply_fn = _t_apply if path == "fast" else _t_apply_brute
-    use_kernels = (path == "fast" and HAVE_NUMBA and dtype == np.float64)
-    fid = FAMILY_IDS[family.kind]
     K = window.size
     bands = {}
     suffix, prefix = {}, {}     # output band index n -> input coefficient
     for side, m, coeff in elem.bands():
-        jitted = use_kernels and isinstance(coeff, PowerSum)
         if side == "f":
-            n = m - 1
-            if not jitted:
-                suffix[n] = coeff
-                continue
-            vals = qt_f_band(fid, t, family.alpha, family.beta,
-                             window.k_lo, window.k_hi, n,
-                             np.ascontiguousarray(coeff.coeffs),
-                             coeff.min_power_half,
-                             mode is QtKernelMode.CORRECTED)
-            bands[n] = bands.get(n, 0.0) + vals[:K - n]
+            suffix[m - 1] = coeff
         else:                       # diagonal enters as g_0
-            n = m + 1
-            if not jitted:
-                prefix[n] = coeff
-                continue
-            vals = qt_g_band(fid, t, family.alpha, family.beta,
-                             window.k_lo, window.k_hi, n,
-                             np.ascontiguousarray(coeff.coeffs),
-                             coeff.min_power_half)
-            bands[-n] = bands.get(-n, 0.0) + vals[:K - n]
+            prefix[m + 1] = coeff
     if not (suffix or prefix):
         return BandMatrix(window, bands, valid_margin=0)
 
@@ -240,11 +202,11 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
     for n in range(top + 1):
         p_next = next(products)
         if n in suffix:
-            vals = -apply_fn(_t1_parts(arrays, K, n, mode, p_n, p_next),
+            vals = -_t_apply(_t1_parts(arrays, K, n, mode, p_n, p_next),
                              suffix[n](svals))
             bands[n] = bands.get(n, 0.0) + vals[:K - n]
         if n in prefix:
-            vals = apply_fn(_t2_parts(arrays, K, n, p_n), prefix[n](svals))
+            vals = _t_apply(_t2_parts(arrays, K, n, p_n), prefix[n](svals))
             bands[-n] = bands.get(-n, 0.0) + vals[:K - n]
         p_n = p_next
     return BandMatrix(window, bands, valid_margin=0)

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, WindowResourceError
 
 
 class Domain(Enum):
@@ -130,8 +130,17 @@ class WeightFamily:
         return 1.0 / d if d > 0.0 else math.inf   # d underflows for tiny tol
 
     def solve_k_hi(self, t, tol):
-        """Smallest k with tail_bound_hi(t, k) <= tol (closed form, then local adjust)."""
-        k = max(0, math.ceil(self.k_hi_guess(t, tol) - 2.0))
+        """Smallest k with tail_bound_hi(t, k) <= tol (closed form, then local adjust).
+
+        Raises WindowResourceError when the closed form is not finite or lies
+        beyond 2^53, where the +-1 adjust steps no longer move a float index.
+        """
+        guess = self.k_hi_guess(t, tol)
+        if not guess <= 2.0**53:
+            raise WindowResourceError(
+                f"window needs indices out to about {guess:.6g}, beyond 2^53",
+                needed=guess, cap=2**53)
+        k = max(0, math.ceil(guess - 2.0))
         while self.tail_bound_hi(t, k) > tol:
             k += 1
         while k > 0 and self.tail_bound_hi(t, k - 1) <= tol:

@@ -2,11 +2,16 @@
 
 Everything here works on plain K x K numpy arrays built directly from the
 defining formulas (shift matrices, explicit triangular kernels, matrix
-products), with none of the banded/scan machinery of the package.
+products), with none of the banded/scan machinery of the package.  The one
+exception is `t_apply_brute`, a literal double sum that stands in for the
+package's scan inside apply_Qt, so its band loop is checked as it runs.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
+from qdbar import operators
 from qdbar.operators import QtKernelMode
 
 
@@ -91,6 +96,28 @@ def dense_Qt(elem, fam, t, k_lo, k_hi, mode):
             rows = np.arange(K - n)
             out[rows, rows + n] += G[:K - n]
     return out
+
+
+def t_apply_brute(parts, x):
+    """Literal triangular double sum; O(K^2) stand-in for operators._t_apply."""
+    weighted = parts.b * parts.nu * x
+    K = x.size
+    out = np.empty(K, dtype=weighted.dtype)
+    if parts.direction == "prefix":
+        for k in range(K):
+            out[k] = parts.a[k] * weighted[:k + 1].sum()
+    else:
+        for k in range(K):
+            out[k] = parts.a[k] * weighted[k:].sum()
+    return out
+
+
+@contextmanager
+def brute_scans(monkeypatch):
+    """Inside the block, apply_Qt evaluates every kernel band with t_apply_brute."""
+    with monkeypatch.context() as m:
+        m.setattr(operators, "_t_apply", t_apply_brute)
+        yield
 
 
 def dense_t_hat(spec, mode):

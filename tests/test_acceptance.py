@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from dense_oracle import brute_scans
 from fixtures import (
     f1_constant_element, f2_element, g2_element, inverse_fixtures,
     mixed_element, random_poly_element,
@@ -109,15 +110,16 @@ def test_c04_s_ratio_margin():
            f"min margin {worst:.2e}, {elapsed:.2f}s")
 
 
-def test_c05_fast_brute_equivalence():
+def test_c05_fast_brute_equivalence(monkeypatch):
     started = time.perf_counter()
     elem = random_poly_element(np.random.default_rng(20250811), max_n=4)
     worst = 0.0
     for fam, k_lo in ((disk(), 0), (annulus(), -2000)):
         win = window_from_range(fam, 0.25, k_lo, k_lo + 3999)
         for mode in (CORRECTED, PRINTED):
-            fast = apply_Qt(elem, fam, 0.25, win, mode, path="fast")
-            brute = apply_Qt(elem, fam, 0.25, win, mode, path="brute")
+            fast = apply_Qt(elem, fam, 0.25, win, mode)
+            with brute_scans(monkeypatch):
+                brute = apply_Qt(elem, fam, 0.25, win, mode)
             for b in brute.bands:
                 denom = np.abs(brute.band(b))
                 rel = np.abs(fast.band(b) - brute.band(b)) / np.where(
@@ -260,7 +262,7 @@ def test_c11_fast_path_performance():
     from qdbar.elements import make_element
     elem = make_element(spec)
     started = time.perf_counter()
-    out = apply_Qt(elem, fam, t, win, CORRECTED, path="fast")
+    out = apply_Qt(elem, fam, t, win, CORRECTED)
     elapsed = time.perf_counter() - started
     n_entries = sum(arr.size for arr in out.bands.values())
     report(11, "fast-path performance",

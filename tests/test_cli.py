@@ -65,8 +65,21 @@ class TestParseConfig:
         {"element": [{"side": "g", "n": 1, "kind": "poly", "coeffs": [float("nan")]}]},
         {"element": [{"side": "f", "n": 2, "kind": "poly", "coeffs": [1.0, float("inf")]}]},
         {"element": [{"side": "f", "n": 17, "kind": "poly", "coeffs": [1.0]}]},
+        {"output": "x"},
+        {"output": {"directory": 5}},
+        {"truncation": "x"},
+        {"t_grid": {"kind": "explicit", "values": ["a"]}},
+        {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": "3"}},
+        {"t_grid": {"kind": "geometric", "head": "0.2", "ratio": 0.5, "count": 3}},
+        {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": None, "count": 3}},
+        {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": 0}},
+        {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": 2.0}},
+        {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": True}},
     ], ids=["k_cap-str", "k_cap-zero", "k_cap-negative", "k_cap-float",
-            "k_cap-bool", "tail_tol-str", "coeff-nan", "coeff-inf", "N-over-cap"])
+            "k_cap-bool", "tail_tol-str", "coeff-nan", "coeff-inf", "N-over-cap",
+            "output-str", "output-directory-int", "truncation-str", "values-str",
+            "count-str", "head-str", "ratio-null", "count-zero", "count-float",
+            "count-bool"])
     def test_rejects_invalid_values(self, tmp_path, extra):
         text = minimal_config(**extra)
         with pytest.raises(ConfigInvalidError):

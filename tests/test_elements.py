@@ -7,7 +7,7 @@ import pytest
 from qdbar.elements import (
     BandMatrix, IndexWindow, PowerSum, Transform, classical_norm,
     coordinate_element, lambda_norm_sq, make_element, quantum_norm,
-    realize_quantum, search_window_size, truncation_window, window_from_range,
+    realize_quantum, truncation_window, window_from_range,
 )
 from qdbar.errors import ParameterError, WindowResourceError
 from qdbar.weights import make_family
@@ -95,6 +95,23 @@ class TestMakeElement:
         assert zbar.g_bands[1] == PowerSum.sqrt_poly([1.0])
         with pytest.raises(ParameterError):
             coordinate_element("w")
+
+
+def search_window_size(family, t, tail_tol, k_cap=20_000_000):
+    """Doubling-then-bisect solve for the upper window edge (closed-form oracle)."""
+    hi = 1
+    while family.tail_bound_hi(t, hi) > tail_tol:
+        hi *= 2
+        if hi > 4 * k_cap:
+            raise WindowResourceError("window search exceeded cap", needed=hi, cap=k_cap)
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if family.tail_bound_hi(t, mid) <= tail_tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class TestTruncationWindow:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import brute_scans
 from fixtures import g2_element, mixed_element
 from qdbar.elements import (
     classical_norm, coordinate_element, lambda_norm_sq, quantum_norm,
@@ -93,11 +94,12 @@ class TestParametrixConvergence:
         errs = [r.abs_error for r in series.records]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
-    def test_fast_matches_brute_series(self):
+    def test_fast_matches_brute_series(self, monkeypatch):
         grid = [0.3, 0.15]
         fast = parametrix_convergence(g2_element(), disk(), grid, 1e-2, CORRECTED)
-        brute = parametrix_convergence(g2_element(), disk(), grid, 1e-2, CORRECTED,
-                                       path="brute")
+        with brute_scans(monkeypatch):
+            brute = parametrix_convergence(g2_element(), disk(), grid, 1e-2,
+                                           CORRECTED)
         for a, b in zip(fast.records, brute.records):
             assert a.primary_value == pytest.approx(b.primary_value, rel=1e-11)
 

@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from qdbar.errors import ParameterError
+from qdbar.errors import ParameterError, WindowResourceError
 from qdbar.weights import (
     Domain, FamilyKind, condition_report, make_family, s_ratio_margin,
     s_value, weight_value,
@@ -99,6 +100,18 @@ class TestSValues:
         for t in T_GRID:
             direct = fam.weight_sq(t, ks) - fam.weight_sq(t, ks - 1)
             assert np.max(np.abs(direct - fam.s(t, ks))) < 1e-14
+
+
+class TestSolveKHi:
+    @pytest.mark.parametrize("fam, tol", [
+        (disk(), 1e-300),                                                  # guess 2e300
+        (make_family("bilateral_arctan", alpha=3.0, beta=1.0), 1e-320),    # guess inf
+    ], ids=["disk-beyond-2^53", "arctan-non-finite"])
+    def test_resource_error_in_bounded_time(self, fam, tol):
+        started = time.perf_counter()
+        with pytest.raises(WindowResourceError):
+            fam.solve_k_hi(0.5, tol)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestCommutationIdentity:
