@@ -10,8 +10,8 @@ from .elements import (
 )
 from .errors import (
     CapabilityError, ConfigInvalidError, ConfigSyntaxError,
-    InsufficientDataError, ParameterError, QdbarError, QuadratureError,
-    WindowResourceError,
+    DivergentIntegralError, InsufficientDataError, ParameterError, QdbarError,
+    QuadratureError, WindowResourceError,
 )
 from .limits import (
     ConvergenceSeries, RateFit, continuity_scan, geometric_grid,

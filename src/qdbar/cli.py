@@ -9,9 +9,10 @@ formatted with their shortest round-trip representation and wall-clock data
 lives only in the manifest.
 
 Exit codes: 0 success, 2 weight-condition violation, 3 numerical failure
-(quadrature/window/resource), 4 property failure (a bound or inverse check
-did not hold), 64 config syntax error, 65 invalid config, 70 internal error
-(an unexpected exception; the manifest records it and its traceback).
+(quadrature/window/resource/divergent integral), 4 property failure (a bound
+or inverse check did not hold), 64 config syntax error, 65 invalid config, 70
+internal error (an unexpected exception; the manifest records it and its
+traceback).
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from .elements import (
     classical_norm, lambda_norm_sq, make_element, truncation_window,
 )
 from .errors import (
-    ConfigInvalidError, ConfigSyntaxError, InsufficientDataError,
-    ParameterError, QdbarError, QuadratureError, WindowResourceError,
+    ConfigInvalidError, ConfigSyntaxError, DivergentIntegralError,
+    InsufficientDataError, ParameterError, QdbarError, QuadratureError,
+    WindowResourceError,
 )
 from .limits import (
     continuity_scan, inverse_residual, inverse_residual_bound,
@@ -425,7 +427,8 @@ def run_experiment(config: RunConfig, out_dir=None, fmt=None) -> RunArtifacts:
             status = "condition-failure"
         elif exit_code == EXIT_PROPERTY:
             status = "property-failure"
-    except (WindowResourceError, QuadratureError, InsufficientDataError) as exc:
+    except (WindowResourceError, QuadratureError, DivergentIntegralError,
+            InsufficientDataError) as exc:
         status = f"numerical-failure: {exc}"
         exit_code = EXIT_NUMERICAL
     except QdbarError as exc:

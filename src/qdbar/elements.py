@@ -19,8 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapabilityError, ParameterError, WindowResourceError
-from .quadrature import cumulative_integrals, integrate
+from .errors import (
+    CapabilityError, DivergentIntegralError, ParameterError, WindowResourceError,
+)
+from .quadrature import integrate
 from .weights import Domain, WeightFamily
 
 CHUNK = 1 << 22  # fixed streaming block size; fixed => deterministic sums
@@ -81,13 +83,17 @@ class PowerSum:
         s = np.asarray(s)
         if s.dtype != np.longdouble:
             s = s.astype(np.float64, copy=False)
-        r = np.sqrt(s)
-        val = np.full(s.shape, self.coeffs[-1], dtype=s.dtype)
-        for a in self.coeffs[-2::-1]:   # Horner in r, in place: no temporaries
-            val *= r
+        if self.coeffs[1::2].any():     # both parities of j: Horner in r
+            x, coeffs = np.sqrt(s), self.coeffs
+        else:                           # poly and sqrt_poly: Horner in s
+            x, coeffs = s, self.coeffs[::2]
+        val = np.full(s.shape, coeffs[-1], dtype=s.dtype)
+        for a in coeffs[-2::-1]:        # in place: no temporaries
+            val *= x
             val += a
-        if self.min_power_half:
-            val *= r ** self.min_power_half
+        m = self.min_power_half
+        if m:
+            val *= s ** (m // 2) if m % 2 == 0 else np.sqrt(s) ** m
         return val if val.ndim else val[()]   # a scalar for a scalar input
 
     def derivative(self) -> "PowerSum":
@@ -126,7 +132,7 @@ class PowerSum:
                 and bool(np.all(self.coeffs == other.coeffs)))
 
     def __repr__(self):
-        return f"PowerSum({list(self.coeffs)}, min_power_half={self.min_power_half})"
+        return f"PowerSum({self.coeffs.tolist()}, min_power_half={self.min_power_half})"
 
     @property
     def kind(self) -> str:
@@ -140,81 +146,67 @@ class PowerSum:
 
 
 class Transform:
-    """Quadrature-backed coefficient  s^p * integral of a base function.
+    """Closed-form coefficient  scale * s^(p/2) * I(s)  over a PowerSum integrand.
 
-    value(s) = s^p * I(s) with I(s) = int_{c0}^{s} phi(u) du   (moving='upper')
-                        or I(s) = int_{s}^{c0} phi(u) du        (moving='lower'),
-    and a derivative through the fundamental theorem of calculus.  Batch
-    evaluation on a sorted grid walks consecutive panels once and memoizes the
-    sampled values for reuse within a run.
+    I(s) = int_{c0}^{s} phi(u) du   (moving='upper')
+    or I(s) = int_{s}^{c0} phi(u) du   (moving='lower'),
+    with phi(u) = sum_j a_j u^(j/2).  The antiderivative
+    A(u) = sum_{j != -2} a_j u^(j/2+1) / (j/2+1) + a_(-2) log u
+    is built once, so I(s) = +-(A(s) - A(c0)) is exact algebra on any array in
+    any order, and the derivative follows from the fundamental theorem of
+    calculus.  A fixed endpoint where A is not finite (a term u^(j/2) with
+    j <= -2 integrated from 0) makes the integral diverge and raises
+    DivergentIntegralError.
     """
 
     derivative_available = True
 
     def __init__(self, prefactor_half_power: int, integrand, fixed_endpoint: float,
-                 moving: str, scale: float = 1.0, tol: float = 1e-12):
+                 moving: str, scale: float = 1.0):
         if moving not in ("upper", "lower"):
             raise ParameterError("moving must be 'upper' or 'lower'")
+        if not isinstance(integrand, PowerSum):
+            raise CapabilityError("exact transforms need a PowerSum integrand")
         self.p_half = prefactor_half_power
         self.integrand = integrand
         self.c0 = float(fixed_endpoint)
         self.moving = moving
         self.scale = scale
-        self.tol = tol
-        self._memo_grid = None
-        self._memo_vals = None
+        # u^(j/2) integrates to u^e / e with e = j/2 + 1, or to log u at e = 0
+        e = (integrand.min_power_half + np.arange(integrand.coeffs.size)) / 2.0 + 1.0
+        log_term = e == 0.0
+        self.log_coeff = float(integrand.coeffs[log_term].sum())
+        self.antiderivative = PowerSum(
+            np.divide(integrand.coeffs, e, out=np.zeros_like(e), where=~log_term),
+            integrand.min_power_half + 2)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.a0 = float(self._antiderivative_at(np.float64(self.c0)))
+        if not math.isfinite(self.a0):
+            raise DivergentIntegralError(
+                f"integral of {integrand!r} diverges at the fixed endpoint {self.c0}")
 
-    def _integral_sorted(self, s):
-        """I(s) for ascending s, via cumulative panel quadrature."""
-        if self._memo_grid is not None and self._memo_grid.shape == s.shape \
-                and np.array_equal(self._memo_grid, s):
-            return self._memo_vals
-        out = np.empty(s.size)
-        if self.moving == "upper":
-            edges = np.concatenate(([self.c0], s))
-            carry = 0.0
-            for start in range(0, s.size, CHUNK):
-                stop = min(start + CHUNK, s.size)
-                vals = cumulative_integrals(self.integrand, edges[start:stop + 1],
-                                            tol=self.tol)
-                out[start:stop] = carry + np.cumsum(vals)
-                carry = out[stop - 1]
-        else:
-            edges = np.concatenate((s, [self.c0]))
-            carry = 0.0
-            for stop in range(s.size, 0, -CHUNK):
-                start = max(stop - CHUNK, 0)
-                vals = cumulative_integrals(self.integrand, edges[start:stop + 1],
-                                            tol=self.tol)
-                out[start:stop] = carry + np.cumsum(vals[::-1])[::-1]
-                carry = out[start]
-        self._memo_grid = s.copy()
-        self._memo_vals = out
-        return out
+    def _antiderivative_at(self, s):
+        vals = self.antiderivative(s)
+        if self.log_coeff:
+            vals = vals + self.log_coeff * np.log(s)
+        return vals
 
     def _integral(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        if s.size > 1 and np.any(np.diff(s) < 0):
-            order = np.argsort(s, kind="stable")
-            inv = np.empty_like(order)
-            inv[order] = np.arange(order.size)
-            return self._integral_sorted(s[order])[inv]
-        return self._integral_sorted(s)
+        vals = self._antiderivative_at(s) - self.a0
+        return vals if self.moving == "upper" else -vals
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=np.float64)
-        vals = self._integral(arr).reshape(arr.shape)
-        out = self.scale * vals * np.sqrt(arr) ** self.p_half
+        out = self.scale * self._integral(arr) * np.sqrt(arr) ** self.p_half
         return float(out) if np.isscalar(s) else out
 
     def derivative_at(self, s):
-        arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        ivals = self._integral(arr)
+        arr = np.asarray(s, dtype=np.float64)
         sign = 1.0 if self.moving == "upper" else -1.0
         r = np.sqrt(arr)
-        out = self.scale * (0.5 * self.p_half * r ** (self.p_half - 2) * ivals
+        out = self.scale * (0.5 * self.p_half * r ** (self.p_half - 2)
+                            * self._integral(arr)
                             + r ** self.p_half * sign * self.integrand(arr))
-        out = out.reshape(np.asarray(s).shape)
         return float(out) if np.isscalar(s) else out
 
 

@@ -27,6 +27,10 @@ class QuadratureError(QdbarError):
         self.achieved_error = achieved_error
 
 
+class DivergentIntegralError(QdbarError):
+    """An integral the computation needs diverges at one of its endpoints."""
+
+
 class CapabilityError(QdbarError):
     """An operation needs a capability (e.g. a derivative) the input lacks."""
 

@@ -16,12 +16,16 @@ from .elements import (
     classical_norm, lambda_norm_sq, quantum_norm, realize_quantum,
     truncation_window,
 )
-from .errors import InsufficientDataError, ParameterError, WindowResourceError
+from .errors import (
+    CapabilityError, InsufficientDataError, ParameterError, WindowResourceError,
+)
 from .operators import (
     QtKernelMode, apply_Dt, apply_Qt, schur_analytic_cap, tilde_element,
 )
 
 DEFAULT_K_CAP = 20_000_000
+# machine epsilon of np.longdouble; inverse_residual needs it below float64's
+LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,13 @@ def inverse_residual(elem, family, t: float, tail_tol: float,
     Runs the parametrix/commutator pipeline in extended precision: the
     S^(-1/2) conjugation amplifies rounding by 1/S(k) near the window top,
     which at small tail tolerances would otherwise swamp the true residual.
+    Where np.longdouble is no wider than float64 (MSVC, macOS arm64) it
+    raises CapabilityError instead of returning a residual made of rounding.
     """
+    if not LONGDOUBLE_EPS < np.finfo(np.float64).eps:
+        raise CapabilityError(
+            f"inverse residuals need an extended-precision np.longdouble; its "
+            f"eps here is {LONGDOUBLE_EPS:.3g}, no smaller than float64's")
     win = _window(family, t, tail_tol, k_cap)
     qx = apply_Qt(elem, family, t, win, mode, dtype=np.longdouble)
     back = apply_Dt(qx, family, t)

@@ -156,15 +156,24 @@ def _t2_parts(arrays, K, n, p_n) -> _TParts:
                    nu=nu, direction="prefix")
 
 
-def _scan(vals: np.ndarray, direction: str) -> np.ndarray:
+def _scan(vals: np.ndarray, direction: str, out=None) -> np.ndarray:
+    """Prefix or suffix cumulative sums of vals, written into `out` if given."""
+    if out is None:
+        out = np.empty_like(vals)
     if direction == "prefix":
-        return np.cumsum(vals)
-    return np.cumsum(vals[::-1])[::-1]
+        np.cumsum(vals, out=out)
+    else:
+        np.cumsum(vals[::-1], out=out[::-1])
+    return out
 
 
 def _t_apply(parts: _TParts, x: np.ndarray) -> np.ndarray:
     """The kernel operator applied to coefficient samples, as one scan."""
-    return parts.a * _scan(parts.b * parts.nu * x, parts.direction)
+    vals = parts.b * parts.nu
+    vals *= x
+    out = _scan(vals, parts.direction)
+    out *= parts.a
+    return out
 
 
 def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
@@ -202,12 +211,12 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
     for n in range(top + 1):
         p_next = next(products)
         if n in suffix:
-            vals = -_t_apply(_t1_parts(arrays, K, n, mode, p_n, p_next),
-                             suffix[n](svals))
-            bands[n] = bands.get(n, 0.0) + vals[:K - n]
+            vals = _t_apply(_t1_parts(arrays, K, n, mode, p_n, p_next),
+                            suffix[n](svals))
+            bands[n] = np.negative(vals, out=vals)[:K - n]
         if n in prefix:
-            vals = _t_apply(_t2_parts(arrays, K, n, p_n), prefix[n](svals))
-            bands[-n] = bands.get(-n, 0.0) + vals[:K - n]
+            bands[-n] = _t_apply(_t2_parts(arrays, K, n, p_n),
+                                 prefix[n](svals))[:K - n]
         p_n = p_next
     return BandMatrix(window, bands, valid_margin=0)
 
@@ -245,16 +254,18 @@ def apply_D0(elem: LambdaElement, family: WeightFamily) -> LambdaElement:
 
 
 def tilde_element(elem: LambdaElement, family: WeightFamily,
-                  mode: QtKernelMode = QtKernelMode.CORRECTED,
-                  tol: float = 1e-12) -> LambdaElement:
-    """The classical parametrix image as an element of transform coefficients.
+                  mode: QtKernelMode = QtKernelMode.CORRECTED) -> LambdaElement:
+    """The classical parametrix image as an element of closed-form transforms.
 
     g-side (mode independent):  gtilde_n(s) = s^(-n/2) int_{w_-^2}^{s} g_(n-1)(u) u^((n-1)/2) du
     f-side, PRINTED:   -s^((n-1)/2) int_s^{w_+^2} f_(n+1)(u) u^(-n/2) du
     f-side, CORRECTED: -s^(n/2)     int_s^{w_+^2} f_(n+1)(u) u^(-(n+1)/2) du
 
-    The transforms expose exact derivatives through the fundamental theorem
-    of calculus.
+    Each integrand is a half-power sum, so every coefficient is a Transform
+    evaluated exactly through its antiderivative (a log term where the
+    integrand has u^(-1)), with exact derivatives by the fundamental theorem
+    of calculus.  On the disk a g-side integrand with a power of u at or
+    below u^(-1) diverges at w_-^2 = 0 and raises DivergentIntegralError.
     """
     lo2, hi2 = family.w_minus**2, family.w_plus**2
     f_out, g_out, diag_out = {}, {}, None
@@ -266,11 +277,11 @@ def tilde_element(elem: LambdaElement, family: WeightFamily,
             if mode is QtKernelMode.CORRECTED:
                 tr = Transform(prefactor_half_power=n,
                                integrand=coeff.shift_half_power(-(n + 1)),
-                               fixed_endpoint=hi2, moving="lower", scale=-1.0, tol=tol)
+                               fixed_endpoint=hi2, moving="lower", scale=-1.0)
             else:
                 tr = Transform(prefactor_half_power=n - 1,
                                integrand=coeff.shift_half_power(-n),
-                               fixed_endpoint=hi2, moving="lower", scale=-1.0, tol=tol)
+                               fixed_endpoint=hi2, moving="lower", scale=-1.0)
             if n == 0:
                 diag_out = tr
             else:
@@ -279,7 +290,7 @@ def tilde_element(elem: LambdaElement, family: WeightFamily,
             n = m + 1
             g_out[n] = Transform(prefactor_half_power=-n,
                                  integrand=coeff.shift_half_power(n - 1),
-                                 fixed_endpoint=lo2, moving="upper", tol=tol)
+                                 fixed_endpoint=lo2, moving="upper")
     return LambdaElement(f_bands=f_out, g_bands=g_out, diagonal=diag_out)
 
 
@@ -383,23 +394,24 @@ def operator_norm_estimate(spec: KernelOperatorSpec,
     out_w = np.sqrt(p.mu) * p.a     # output-side factor, fixed across iterations
     in_w = p.b * np.sqrt(p.nu)      # input-side factor
     other = "prefix" if p.direction == "suffix" else "suffix"
-
-    def forward(x):
-        return out_w * _scan(in_w * x, p.direction)
-
-    def adjoint(y):
-        return in_w * _scan(out_w * y, other)
-
+    # every step runs in these three buffers, so it allocates nothing
     v = np.ones(p.a.size)
+    u = np.empty_like(v)
+    buf = np.empty_like(v)
     v /= np.linalg.norm(v)
     lam = 0.0
     for it in range(1, iters + 1):
-        u = adjoint(forward(v))
+        np.multiply(in_w, v, out=u)         # forward: out_w * scan(in_w * v)
+        _scan(u, p.direction, out=buf)
+        np.multiply(out_w, buf, out=buf)
+        np.multiply(out_w, buf, out=u)      # adjoint: in_w * scan(out_w * y)
+        _scan(u, other, out=buf)
+        np.multiply(in_w, buf, out=u)
         new_lam = float(v @ u)
         norm_u = np.linalg.norm(u)
         if norm_u == 0.0:
             return NormEstimate(0.0, True, it, 0.0)
-        v = u / norm_u
+        np.divide(u, norm_u, out=v)
         rel = abs(new_lam - lam) / max(new_lam, 1e-300)
         lam = new_lam
         if rel <= rtol:

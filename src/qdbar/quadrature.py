@@ -95,18 +95,3 @@ def integrate_with_error(fn, a, b, tol=1e-12, max_panels=4096):
 def integrate(fn, a: float, b: float, tol: float = 1e-12) -> float:
     """Adaptive integral of a bounded (vectorized) integrand over [a, b]."""
     return integrate_with_error(fn, a, b, tol)[0]
-
-
-def cumulative_integrals(fn, edges, refine_tol=1e-15, tol=1e-12):
-    """Per-panel integrals over a sorted edge grid, refining wide panels.
-
-    Most panels between consecutive grid points are narrow enough that a
-    single K15 evaluation is exact to machine precision; panels whose error
-    estimate exceeds `refine_tol` are re-done adaptively.  Returns the array
-    of per-panel integrals (cumulative sums are left to the caller).
-    """
-    vals, errs = panel_integrals(fn, edges)
-    bad = np.nonzero(errs > refine_tol)[0]
-    for i in bad:
-        vals[i], _ = integrate_with_error(fn, edges[i], edges[i + 1], tol=tol)
-    return vals

@@ -168,6 +168,20 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"].startswith("numerical-failure")
 
+    def test_divergent_transform_manifest(self, tmp_path):
+        # the classical parametrix integrates u^(-3/2) from w_-^2 = 0
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(minimal_config(
+            experiment="parametrix", t_grid=[0.4, 0.2],
+            truncation={"tail_tol": 1e-4},
+            element=[{"side": "diag", "n": 0, "kind": "half_power",
+                      "coeffs": [1.0], "min_power": -3}]))
+        assert main(["parametrix", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["status"].startswith("numerical-failure")
+        assert "diverges" in manifest["status"]
+
     def test_internal_error_manifest(self, tmp_path, monkeypatch):
         def broken(config, points):
             raise TypeError("unsupported operand")

@@ -3,13 +3,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdbar.elements import (
     BandMatrix, IndexWindow, PowerSum, Transform, classical_norm,
     coordinate_element, lambda_norm_sq, make_element, quantum_norm,
     realize_quantum, truncation_window, window_from_range,
 )
-from qdbar.errors import ParameterError, WindowResourceError
+from qdbar.errors import (
+    CapabilityError, DivergentIntegralError, ParameterError, WindowResourceError,
+)
+from qdbar.quadrature import integrate
 from qdbar.weights import make_family
 
 
@@ -282,33 +287,121 @@ class TestClassicalNorm:
 
 
 class TestTransform:
+    """The closed form against adaptive quadrature of its integrand."""
+
+    @staticmethod
+    def assert_matches_oracle(tr, s, rtol=1e-10):
+        """tr(s) against scale * s^(p/2) * I(s) with I(s) from `integrate`.
+
+        A point may differ by rtol times the size of its integral,
+        |s^(p/2)| (hi - lo) max|phi|, plus the rounding of a difference of
+        antiderivatives, 1e-13 |s^(p/2)| sum_j |a_j| (|A_j(s)| + |A_j(c0)|).
+        """
+        phi = tr.integrand
+        e = (phi.min_power_half + np.arange(phi.coeffs.size)) / 2.0 + 1.0
+        s = np.atleast_1d(s)
+        for x, got in zip(s, np.atleast_1d(tr(s))):
+            lo, hi = sorted((tr.c0, float(x)))
+            # |phi| sampled inside the interval, away from a singular endpoint
+            size = (hi - lo) * float(np.max(np.abs(
+                phi(lo + (hi - lo) * np.arange(1, 17) / 16.0))))
+            with np.errstate(all="ignore"):
+                terms = np.where(e == 0.0, np.abs(np.log([x, tr.c0])).sum(),
+                                 (x**e + tr.c0**e) / np.abs(e))
+            rounding = 1e-13 * float(np.abs(phi.coeffs) @ terms)
+            sign = 1.0 if (x >= tr.c0) == (tr.moving == "upper") else -1.0
+            pref = math.sqrt(x) ** tr.p_half
+            want = tr.scale * sign * pref * integrate(phi, lo, hi, tol=1e-13 * size)
+            assert abs(got - want) <= abs(pref) * (rtol * size + rounding), \
+                (x, got, want)
+
     def test_matches_pointwise_quadrature(self):
         # I(s) = int_0^s u du = s^2/2, value = s^(-1/2) * I(s)
         tr = Transform(prefactor_half_power=-1, integrand=PowerSum.poly([0.0, 1.0]),
                        fixed_endpoint=0.0, moving="upper")
         s = np.linspace(0.05, 1.0, 37)
         assert np.allclose(tr(s), 0.5 * s**1.5, atol=1e-12, rtol=0)
+        self.assert_matches_oracle(tr, s)
 
     def test_lower_moving_limit(self):
-        # I(s) = int_s^1 du = 1 - s
+        # I(s) = int_s^1 du = 1 - s; the grid holds both endpoints 0 and 1
         tr = Transform(prefactor_half_power=0, integrand=PowerSum.poly([1.0]),
                        fixed_endpoint=1.0, moving="lower")
         s = np.linspace(0.0, 1.0, 11)
         assert np.allclose(tr(s), 1.0 - s, atol=1e-13, rtol=0)
+        self.assert_matches_oracle(tr, s)
 
     def test_derivative_via_ftc(self):
         tr = Transform(prefactor_half_power=2, integrand=PowerSum.poly([1.0]),
                        fixed_endpoint=0.0, moving="upper")  # s * int_0^s du = s^2
         s = np.array([0.3, 0.7])
         assert np.allclose(tr.derivative_at(s), 2.0 * s, atol=1e-12, rtol=0)
+        assert np.allclose(tr(s), s * s, atol=1e-13, rtol=0)
+        self.assert_matches_oracle(tr, s)
 
     def test_unsorted_queries(self):
         tr = Transform(prefactor_half_power=0, integrand=PowerSum.poly([0.0, 1.0]),
                        fixed_endpoint=0.0, moving="upper")
         s = np.array([0.9, 0.1, 0.5])
         assert np.allclose(tr(s), 0.5 * s * s, atol=1e-13, rtol=0)
+        self.assert_matches_oracle(tr, s)
 
     def test_scalar_call(self):
         tr = Transform(prefactor_half_power=0, integrand=PowerSum.poly([0.0, 1.0]),
                        fixed_endpoint=0.0, moving="upper")
         assert tr(0.6) == pytest.approx(0.18, abs=1e-13)
+        self.assert_matches_oracle(tr, 0.6)
+
+    def test_log_term(self):
+        # corrected f-side of a constant f_2 on the annulus: -s^(1/2) int_s^{w_+^2} du/u
+        fam = annulus()
+        lo, hi = fam.w_minus**2, fam.w_plus**2
+        tr = Transform(prefactor_half_power=1,
+                       integrand=PowerSum.poly([1.0]).shift_half_power(-2),
+                       fixed_endpoint=hi, moving="lower", scale=-1.0)
+        assert tr.log_coeff == 1.0
+        s = np.linspace(lo, hi, 41)
+        assert np.allclose(tr(s), -np.sqrt(s) * np.log(hi / s), atol=1e-13, rtol=0)
+        self.assert_matches_oracle(tr, s)
+        assert np.allclose(tr.derivative_at(s),
+                           -0.5 * np.log(hi / s) / np.sqrt(s) + 1.0 / np.sqrt(s),
+                           atol=1e-13, rtol=0)
+
+    @pytest.mark.parametrize("min_power", [-2, -3, -4])
+    def test_divergent_integral_raises(self, min_power):
+        # int_0 u^(j/2) du diverges for j <= -2 (j = -2 is the log term)
+        with pytest.raises(DivergentIntegralError):
+            Transform(prefactor_half_power=0,
+                      integrand=PowerSum([1.0, 2.0], min_power),
+                      fixed_endpoint=0.0, moving="upper")
+
+    def test_needs_power_sum(self):
+        with pytest.raises(CapabilityError):
+            Transform(prefactor_half_power=0, integrand=np.sqrt,
+                      fixed_endpoint=0.0, moving="upper")
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0),
+                                     st.floats(-2.0, -1e-3)),
+                           min_size=1, max_size=5),
+           min_power=st.integers(-6, 6), p_half=st.integers(-4, 4),
+           moving=st.sampled_from(["upper", "lower"]),
+           on_disk=st.booleans(),
+           interior=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4))
+    def test_random_half_power_sums(self, coeffs, min_power, p_half, moving,
+                                    on_disk, interior):
+        # tilde_element's endpoints: upper from w_-^2, lower from w_+^2
+        fam = disk() if on_disk else annulus()
+        lo, hi = fam.w_minus**2, fam.w_plus**2
+        phi = PowerSum(coeffs, min_power)
+        if on_disk and moving == "upper" and phi.min_power_half < -1 \
+                and not phi.is_zero():
+            with pytest.raises(DivergentIntegralError):
+                Transform(p_half, phi, lo, moving)
+            return
+        tr = Transform(p_half, phi, lo if moving == "upper" else hi, moving,
+                       scale=-1.0 if moving == "lower" else 1.0)
+        s = [*(lo + (hi - lo) * np.array(interior)), hi]
+        if not on_disk or (p_half >= 0 and phi.min_power_half >= 0):
+            s.append(lo)        # w_-^2 on the annulus; 0 where finite on the disk
+        self.assert_matches_oracle(tr, np.array(s), rtol=1e-9)

@@ -7,7 +7,10 @@ from qdbar.elements import (
     classical_norm, coordinate_element, lambda_norm_sq, quantum_norm,
     realize_quantum, truncation_window,
 )
-from qdbar.errors import InsufficientDataError, ParameterError, WindowResourceError
+from qdbar import limits
+from qdbar.errors import (
+    CapabilityError, InsufficientDataError, ParameterError, WindowResourceError,
+)
 from qdbar.limits import (
     ConvergenceSeries, SeriesRecord, continuity_scan, geometric_grid,
     inverse_residual, inverse_residual_bound, norm_convergence,
@@ -121,6 +124,11 @@ class TestInverseResidual:
         from fixtures import f1_constant_element
         res = inverse_residual(f1_constant_element(), disk(), 0.5, 1e-4, PRINTED)
         assert res >= 0.1
+
+    def test_refuses_longdouble_no_wider_than_double(self, monkeypatch):
+        monkeypatch.setattr(limits, "LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
+        with pytest.raises(CapabilityError, match="extended-precision"):
+            inverse_residual(g2_element(), disk(), 0.5, 1e-4, CORRECTED)
 
 
 class TestContinuityScan:

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from qdbar.errors import ParameterError, QuadratureError
-from qdbar.quadrature import (
-    cumulative_integrals, integrate, integrate_with_error, panel_integrals,
-)
+from qdbar.quadrature import integrate, integrate_with_error, panel_integrals
 
 
 class TestIntegrate:
@@ -51,13 +49,6 @@ class TestPanels:
         exact = 1.0 - 3.0 * np.exp(-2.0)
         assert total == pytest.approx(exact, abs=1e-13)
         assert np.all(errs < 1e-12)
-
-    def test_cumulative_refines_wide_panels(self):
-        # one wide panel over a sqrt kink forces the adaptive fallback
-        edges = np.array([0.0, 0.5, 0.500001, 0.500002])
-        vals = cumulative_integrals(np.sqrt, edges, refine_tol=1e-15)
-        assert float(np.sum(vals)) == pytest.approx(
-            (2.0 / 3.0) * 0.500002**1.5, abs=1e-12)
 
     def test_gauss_and_kronrod_degree(self):
         # K15 integrates degree-13 polynomials exactly; error estimate ~ 0
