@@ -8,9 +8,10 @@ point window sizes and statuses.  Reports are byte-deterministic: floats are
 formatted with their shortest round-trip representation and wall-clock data
 lives only in the manifest.
 
-Exit codes: 0 success, 2 weight-condition violation, 3 numerical failure
-(quadrature/window/resource/divergent integral), 4 property failure (a bound
-or inverse check did not hold), 64 config syntax error, 65 invalid config, 70
+Exit codes: 0 success, 2 weight-condition violation, 3 numerical failure (a
+window that needs indices beyond k_cap, or a classical integral that diverges:
+a parametrix transform or a classical norm), 4 property failure (a bound or
+inverse check did not hold), 64 config syntax error, 65 invalid config, 70
 internal error (an unexpected exception; the manifest records it and its
 traceback).
 """
@@ -25,24 +26,19 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .elements import (
-    classical_norm, lambda_norm_sq, make_element, truncation_window,
-)
+from .elements import DEFAULT_K_CAP, make_element, truncation_window
 from .errors import (
     ConfigInvalidError, ConfigSyntaxError, DivergentIntegralError,
-    InsufficientDataError, ParameterError, QdbarError, QuadratureError,
-    WindowResourceError,
+    InsufficientDataError, ParameterError, QdbarError, WindowResourceError,
 )
 from .limits import (
     continuity_scan, inverse_residual, inverse_residual_bound,
-    norm_convergence, parametrix_convergence, rate_fit, uniform_bound_scan,
+    norm_convergence, parametrix_convergence, uniform_bound_scan,
 )
 from .operators import (
     MAX_BAND, KernelOperatorSpec, QtKernelMode, operator_norm_estimate,
-    schur_analytic_cap, schur_young_bound,
+    schur_young_bound,
 )
 from .weights import Domain, condition_report, make_family
 
@@ -59,7 +55,7 @@ EXIT_INTERNAL = 70
 
 DEFAULTS = {
     "t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": 8},
-    "truncation": {"tail_tol": 1e-5, "k_cap": 20_000_000},
+    "truncation": {"tail_tol": 1e-5, "k_cap": DEFAULT_K_CAP},
     "qt_kernel": "corrected",
     "output": {"directory": "out", "format": "csv"},
     "expect_failure": False,
@@ -427,7 +423,7 @@ def run_experiment(config: RunConfig, out_dir=None, fmt=None) -> RunArtifacts:
             status = "condition-failure"
         elif exit_code == EXIT_PROPERTY:
             status = "property-failure"
-    except (WindowResourceError, QuadratureError, DivergentIntegralError,
+    except (WindowResourceError, DivergentIntegralError,
             InsufficientDataError) as exc:
         status = f"numerical-failure: {exc}"
         exit_code = EXIT_NUMERICAL

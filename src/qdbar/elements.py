@@ -22,10 +22,10 @@ import numpy as np
 from .errors import (
     CapabilityError, DivergentIntegralError, ParameterError, WindowResourceError,
 )
-from .quadrature import integrate
 from .weights import Domain, WeightFamily
 
 CHUNK = 1 << 22  # fixed streaming block size; fixed => deterministic sums
+DEFAULT_K_CAP = 20_000_000  # largest window index a run may need
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +68,9 @@ class PowerSum:
     @staticmethod
     def sqrt_poly(coeffs):
         """sqrt(s) times a polynomial in s, ascending coefficients."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.size == 0:
-            raise ParameterError("empty polynomial coefficient list")
-        out = np.zeros(2 * coeffs.size - 1)
-        out[::2] = coeffs
-        return PowerSum(out, 1)
+        return PowerSum.poly(coeffs).shift_half_power(1)
 
     # -- protocol ----------------------------------------------------------
-
-    derivative_available = True
 
     def __call__(self, s):
         s = np.asarray(s)
@@ -100,8 +93,16 @@ class PowerSum:
         j = self.min_power_half + np.arange(self.coeffs.size)
         return PowerSum(self.coeffs * (j / 2.0), self.min_power_half - 2)
 
-    def derivative_at(self, s):
-        return self.derivative()(s)
+    def antiderivative(self):
+        """(A, c) with A(s) + c log s an antiderivative.
+
+        u^(j/2) integrates to u^(j/2+1) / (j/2+1), and to log u at j = -2.
+        """
+        e = (self.min_power_half + np.arange(self.coeffs.size)) / 2.0 + 1.0
+        log_term = e == 0.0
+        return (PowerSum(np.divide(self.coeffs, e, out=np.zeros_like(e),
+                                   where=~log_term), self.min_power_half + 2),
+                float(self.coeffs[log_term].sum()))
 
     def shift_half_power(self, shift: int) -> "PowerSum":
         """Multiply by s^(shift/2)."""
@@ -120,6 +121,12 @@ class PowerSum:
         out[self.min_power_half - lo:self.min_power_half - lo + self.coeffs.size] += self.coeffs
         out[other.min_power_half - lo:other.min_power_half - lo + other.coeffs.size] += other.coeffs
         return PowerSum(out, lo)
+
+    def __mul__(self, other):
+        if not isinstance(other, PowerSum):
+            return NotImplemented
+        return PowerSum(np.convolve(self.coeffs, other.coeffs),
+                        self.min_power_half + other.min_power_half)
 
     def is_zero(self) -> bool:
         return bool(np.all(self.coeffs == 0.0))
@@ -146,20 +153,19 @@ class PowerSum:
 
 
 class Transform:
-    """Closed-form coefficient  scale * s^(p/2) * I(s)  over a PowerSum integrand.
+    """Closed-form coefficient  P(s) + Q(s) log s  with PowerSums P and Q.
 
+    Built as  scale * s^(p/2) * I(s)  over a PowerSum integrand phi, with
     I(s) = int_{c0}^{s} phi(u) du   (moving='upper')
-    or I(s) = int_{s}^{c0} phi(u) du   (moving='lower'),
-    with phi(u) = sum_j a_j u^(j/2).  The antiderivative
-    A(u) = sum_{j != -2} a_j u^(j/2+1) / (j/2+1) + a_(-2) log u
-    is built once, so I(s) = +-(A(s) - A(c0)) is exact algebra on any array in
-    any order, and the derivative follows from the fundamental theorem of
-    calculus.  A fixed endpoint where A is not finite (a term u^(j/2) with
-    j <= -2 integrated from 0) makes the integral diverge and raises
-    DivergentIntegralError.
+    or I(s) = int_{s}^{c0} phi(u) du   (moving='lower').
+    With (A, c) = phi.antiderivative(), I(s) = +-(A(s) + c log s - A(c0) -
+    c log c0), so P carries A, the constant A(c0) + c log c0, the sign and
+    `scale`, and Q = +-scale c s^(p/2).  The type is closed under
+    `derivative`, `shift_half_power`, `scale` and `+`, so the classical d-bar
+    operator maps it to itself exactly.  A fixed endpoint where the
+    antiderivative is not finite (a term u^(j/2) with j <= -2 integrated from
+    0) makes the integral diverge and raises DivergentIntegralError.
     """
-
-    derivative_available = True
 
     def __init__(self, prefactor_half_power: int, integrand, fixed_endpoint: float,
                  moving: str, scale: float = 1.0):
@@ -167,68 +173,50 @@ class Transform:
             raise ParameterError("moving must be 'upper' or 'lower'")
         if not isinstance(integrand, PowerSum):
             raise CapabilityError("exact transforms need a PowerSum integrand")
-        self.p_half = prefactor_half_power
-        self.integrand = integrand
-        self.c0 = float(fixed_endpoint)
-        self.moving = moving
-        self.scale = scale
-        # u^(j/2) integrates to u^e / e with e = j/2 + 1, or to log u at e = 0
-        e = (integrand.min_power_half + np.arange(integrand.coeffs.size)) / 2.0 + 1.0
-        log_term = e == 0.0
-        self.log_coeff = float(integrand.coeffs[log_term].sum())
-        self.antiderivative = PowerSum(
-            np.divide(integrand.coeffs, e, out=np.zeros_like(e), where=~log_term),
-            integrand.min_power_half + 2)
+        A, c = integrand.antiderivative()
+        c0 = np.float64(fixed_endpoint)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.a0 = float(self._antiderivative_at(np.float64(self.c0)))
-        if not math.isfinite(self.a0):
+            a0 = float(A(c0) + (c * np.log(c0) if c else 0.0))
+        if not math.isfinite(a0):
             raise DivergentIntegralError(
-                f"integral of {integrand!r} diverges at the fixed endpoint {self.c0}")
+                f"integral of {integrand!r} diverges at the fixed endpoint {float(c0)}")
+        sign = scale if moving == "upper" else -scale
+        self.P = (A + PowerSum([-a0])).scale(sign).shift_half_power(prefactor_half_power)
+        self.Q = PowerSum([sign * c], prefactor_half_power)
 
-    def _antiderivative_at(self, s):
-        vals = self.antiderivative(s)
-        if self.log_coeff:
-            vals = vals + self.log_coeff * np.log(s)
-        return vals
-
-    def _integral(self, s):
-        vals = self._antiderivative_at(s) - self.a0
-        return vals if self.moving == "upper" else -vals
-
-    def __call__(self, s):
-        arr = np.asarray(s, dtype=np.float64)
-        out = self.scale * self._integral(arr) * np.sqrt(arr) ** self.p_half
-        return float(out) if np.isscalar(s) else out
-
-    def derivative_at(self, s):
-        arr = np.asarray(s, dtype=np.float64)
-        sign = 1.0 if self.moving == "upper" else -1.0
-        r = np.sqrt(arr)
-        out = self.scale * (0.5 * self.p_half * r ** (self.p_half - 2)
-                            * self._integral(arr)
-                            + r ** self.p_half * sign * self.integrand(arr))
-        return float(out) if np.isscalar(s) else out
-
-
-class DerivedEvaluable:
-    """Pointwise combination  sqrt(s) c'(s) + (sign * n / (2 sqrt(s))) c(s).
-
-    Images of coefficient functions under the classical d-bar operator; they
-    can be evaluated but expose no further derivative.
-    """
-
-    derivative_available = False
-
-    def __init__(self, base, n: int, sign: float):
-        self.base = base
-        self.n = n
-        self.sign = sign
+    @classmethod
+    def _from_parts(cls, P: PowerSum, Q: PowerSum) -> "Transform":
+        out = cls.__new__(cls)
+        out.P, out.Q = P, Q
+        return out
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=np.float64)
-        r = np.sqrt(arr)
-        out = r * self.base.derivative_at(arr) + self.sign * self.n / (2.0 * r) * self.base(arr)
+        out = self.P(arr)
+        if not self.Q.is_zero():
+            out = out + self.Q(arr) * np.log(arr)
         return float(out) if np.isscalar(s) else out
+
+    def derivative(self) -> "Transform":
+        """(P + Q log s)' = P' + Q s^(-1) + Q' log s."""
+        return Transform._from_parts(
+            self.P.derivative() + self.Q.shift_half_power(-2), self.Q.derivative())
+
+    def shift_half_power(self, shift: int) -> "Transform":
+        """Multiply by s^(shift/2)."""
+        return Transform._from_parts(self.P.shift_half_power(shift),
+                                     self.Q.shift_half_power(shift))
+
+    def scale(self, c: float) -> "Transform":
+        return Transform._from_parts(self.P.scale(c), self.Q.scale(c))
+
+    def __add__(self, other):
+        if not isinstance(other, Transform):
+            return NotImplemented
+        return Transform._from_parts(self.P + other.P, self.Q + other.Q)
+
+    def is_zero(self) -> bool:
+        return self.P.is_zero() and self.Q.is_zero()
 
 
 def _coeff_from_spec(entry):
@@ -289,15 +277,8 @@ class LambdaElement:
                 raise CapabilityError("only polynomial-type coefficients can be exported")
             kind = coeff.kind
             entry = {"side": side, "n": n, "kind": kind}
-            powers = coeff.min_power_half + np.arange(coeff.coeffs.size)
-            if kind == "poly":
-                cs = np.zeros(int(powers[-1]) // 2 + 1)
-                cs[powers[coeff.coeffs != 0.0] // 2] = coeff.coeffs[coeff.coeffs != 0.0]
-                entry["coeffs"] = list(cs)
-            elif kind == "sqrt_poly":
-                cs = np.zeros((int(powers[-1]) - 1) // 2 + 1)
-                cs[(powers[coeff.coeffs != 0.0] - 1) // 2] = coeff.coeffs[coeff.coeffs != 0.0]
-                entry["coeffs"] = list(cs)
+            if kind in ("poly", "sqrt_poly"):   # s^0 or s^(1/2) times a polynomial in s
+                entry["coeffs"] = [0.0] * (coeff.min_power_half // 2) + coeff.coeffs[::2].tolist()
             else:
                 entry["coeffs"] = list(coeff.coeffs)
                 entry["min_power"] = coeff.min_power_half
@@ -376,7 +357,7 @@ class IndexWindow:
 
 
 def truncation_window(family: WeightFamily, t: float, tail_tol: float,
-                      k_cap: int = 20_000_000) -> IndexWindow:
+                      k_cap: int = DEFAULT_K_CAP) -> IndexWindow:
     """Smallest window whose tail bounds are <= tail_tol (closed-form solve).
 
     The cap is checked against the closed-form guess before the exact solve,
@@ -387,14 +368,14 @@ def truncation_window(family: WeightFamily, t: float, tail_tol: float,
     guess = family.k_hi_guess(t, tail_tol)
     if guess - 2.0 > k_cap:
         raise WindowResourceError(
-            f"window needs indices out to about {guess:.6g}, beyond the cap {k_cap}",
+            f"window at t={t} needs indices out to about {guess:.6g}, beyond the cap {k_cap}",
             needed=math.ceil(guess) if math.isfinite(guess) else guess, cap=k_cap)
     k_hi = family.solve_k_hi(t, tail_tol)
     k_lo = family.solve_k_lo(t, tail_tol)
     needed = max(k_hi, abs(k_lo))
     if needed > k_cap:
         raise WindowResourceError(
-            f"window needs indices out to {needed}, beyond the cap {k_cap}",
+            f"window at t={t} needs indices out to {needed}, beyond the cap {k_cap}",
             needed=needed, cap=k_cap)
     return IndexWindow(k_lo=k_lo, k_hi=k_hi, tail_tol=tail_tol,
                        tail_bound_hi=family.tail_bound_hi(t, k_hi),
@@ -452,10 +433,6 @@ class BandMatrix:
         out = {b: self.band(b) - other.band(b) for b in keys}
         return BandMatrix(self.window, out,
                           valid_margin=max(self.valid_margin, other.valid_margin))
-
-    def max_abs(self) -> float:
-        vals = [float(np.max(np.abs(a))) for a in self.bands.values() if a.size]
-        return max(vals) if vals else 0.0
 
 
 class _WindowArrays:
@@ -550,10 +527,19 @@ def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
     return total
 
 
-def classical_norm(elem: LambdaElement, family: WeightFamily, tol: float = 1e-12) -> float:
-    """L^2 norm of the t = 0 realization over [w_minus^2, w_plus^2]."""
+def classical_norm(elem: LambdaElement, family: WeightFamily) -> float:
+    """L^2 norm of the t = 0 realization over [w_minus^2, w_plus^2].
+
+    Each band contributes int c(s)^2 ds, a Transform of the PowerSum c * c
+    evaluated exactly through its antiderivative.  On the disk a band whose
+    square has a power of s at or below s^(-1) makes the integral diverge at
+    0 and raises DivergentIntegralError.
+    """
     lo, hi = family.w_minus**2, family.w_plus**2
     total = 0.0
-    for _, _, coeff in elem.bands():
-        total += integrate(lambda s, c=coeff: c(s) ** 2, lo, hi, tol=tol)
+    for side, n, coeff in elem.bands():
+        if not isinstance(coeff, PowerSum):
+            raise CapabilityError(
+                f"classical norms need polynomial-type coefficients ({side}-band {n})")
+        total += Transform(0, coeff * coeff, lo, "upper")(hi)
     return float(np.sqrt(total))

@@ -13,17 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (
-    classical_norm, lambda_norm_sq, quantum_norm, realize_quantum,
-    truncation_window,
+    DEFAULT_K_CAP, classical_norm, lambda_norm_sq, quantum_norm,
+    realize_quantum, truncation_window,
 )
-from .errors import (
-    CapabilityError, InsufficientDataError, ParameterError, WindowResourceError,
-)
+from .errors import CapabilityError, InsufficientDataError, ParameterError
 from .operators import (
     QtKernelMode, apply_Dt, apply_Qt, schur_analytic_cap, tilde_element,
 )
 
-DEFAULT_K_CAP = 20_000_000
 # machine epsilon of np.longdouble; inverse_residual needs it below float64's
 LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 
@@ -88,15 +85,6 @@ def _check_grid(t_grid):
     return ts
 
 
-def _window(family, t, tail_tol, k_cap):
-    try:
-        return truncation_window(family, t, tail_tol, k_cap)
-    except WindowResourceError as exc:
-        raise WindowResourceError(
-            f"window resource limit at t={t}: {exc}", needed=exc.needed,
-            cap=exc.cap) from exc
-
-
 def geometric_grid(head: float = 0.2, ratio: float = 0.5, count: int = 8):
     """Geometric t-grid head, head*ratio, ...; log-log fits need this spacing."""
     if not (0 < head < 1) or not (0 < ratio < 1) or count < 1:
@@ -111,7 +99,7 @@ def norm_convergence(elem, family, t_grid, tail_tol: float,
     reference = classical_norm(elem, family)
     records = []
     for t in ts:
-        win = _window(family, t, tail_tol, k_cap)
+        win = truncation_window(family, t, tail_tol, k_cap)
         primary = float(np.sqrt(lambda_norm_sq(elem, family, t, win)))
         records.append(SeriesRecord(
             t=t, window_lo=win.k_lo, window_hi=win.k_hi, primary_value=primary,
@@ -129,7 +117,7 @@ def parametrix_convergence(elem, family, t_grid, tail_tol: float,
     y = tilde_element(elem, family, mode)
     records = []
     for t in ts:
-        win = _window(family, t, tail_tol, k_cap)
+        win = truncation_window(family, t, tail_tol, k_cap)
         qx = apply_Qt(elem, family, t, win, mode)
         yt = realize_quantum(y, family, t, win)
         primary = quantum_norm(qx - yt, family, t)
@@ -155,7 +143,7 @@ def inverse_residual(elem, family, t: float, tail_tol: float,
         raise CapabilityError(
             f"inverse residuals need an extended-precision np.longdouble; its "
             f"eps here is {LONGDOUBLE_EPS:.3g}, no smaller than float64's")
-    win = _window(family, t, tail_tol, k_cap)
+    win = truncation_window(family, t, tail_tol, k_cap)
     qx = apply_Qt(elem, family, t, win, mode, dtype=np.longdouble)
     back = apply_Dt(qx, family, t)
     diff = back - realize_quantum(elem, family, t, win)
@@ -183,7 +171,7 @@ def continuity_scan(elem, family, t_interval, steps: int, tail_tol: float,
     ts = np.linspace(t_lo, t_hi, steps)
     norms = []
     for t in ts:
-        win = _window(family, float(t), tail_tol, k_cap)
+        win = truncation_window(family, float(t), tail_tol, k_cap)
         norms.append(float(np.sqrt(lambda_norm_sq(elem, family, float(t), win))))
     rows = []
     for i, (t, nv) in enumerate(zip(ts, norms)):
@@ -202,7 +190,7 @@ def uniform_bound_scan(elems, family, t_grid, tail_tol: float,
     cap = schur_analytic_cap(family)
     rows = []
     for t in ts:
-        win = _window(family, t, tail_tol, k_cap)
+        win = truncation_window(family, t, tail_tol, k_cap)
         worst = 0.0
         for elem in elems:
             qx = apply_Qt(elem, family, t, win, mode)

@@ -31,8 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .elements import (
-    BandMatrix, DerivedEvaluable, IndexWindow, LambdaElement, PowerSum,
-    Transform, _WindowArrays,
+    BandMatrix, IndexWindow, LambdaElement, PowerSum, Transform, _WindowArrays,
 )
 from .errors import CapabilityError, ParameterError, WindowResourceError
 from .weights import Domain, WeightFamily
@@ -231,19 +230,21 @@ def apply_D0(elem: LambdaElement, family: WeightFamily) -> LambdaElement:
     f-band n maps to f-band n+1 with coefficient sqrt(s) f' - (n/(2 sqrt(s))) f
     (the diagonal acts as f_0); g-band n maps to g-band n-1 with coefficient
     sqrt(s) g' + (n/(2 sqrt(s))) g, the n = 1 image landing on the diagonal.
+
+    PowerSum and Transform coefficients are each closed under derivative,
+    half-power shift, scaling and addition, so the image is exact algebra of
+    the same type and can be mapped again.  A plain callable coefficient has
+    no derivative and raises CapabilityError.
     """
     f_out, g_out, diag_out = {}, {}, None
     for side, n, coeff in elem.bands():
-        if not getattr(coeff, "derivative_available", False):
+        if not isinstance(coeff, (PowerSum, Transform)):
             raise CapabilityError(f"coefficient on {side}-band {n} has no derivative")
         sign = -1.0 if side in ("f", "diag") else 1.0
-        if isinstance(coeff, PowerSum):
-            image = coeff.derivative().shift_half_power(1) + \
-                coeff.scale(sign * n / 2.0).shift_half_power(-1)
-            if image.is_zero():
-                continue
-        else:
-            image = DerivedEvaluable(coeff, n, sign)
+        image = coeff.derivative().shift_half_power(1) + \
+            coeff.scale(sign * n / 2.0).shift_half_power(-1)
+        if image.is_zero():
+            continue
         if side in ("f", "diag"):
             f_out[n + 1] = image
         elif n == 1:
@@ -262,10 +263,10 @@ def tilde_element(elem: LambdaElement, family: WeightFamily,
     f-side, CORRECTED: -s^(n/2)     int_s^{w_+^2} f_(n+1)(u) u^(-(n+1)/2) du
 
     Each integrand is a half-power sum, so every coefficient is a Transform
-    evaluated exactly through its antiderivative (a log term where the
-    integrand has u^(-1)), with exact derivatives by the fundamental theorem
-    of calculus.  On the disk a g-side integrand with a power of u at or
-    below u^(-1) diverges at w_-^2 = 0 and raises DivergentIntegralError.
+    P(s) + Q(s) log s built from its antiderivative (Q is nonzero only where
+    the integrand has u^(-1)), and apply_D0 maps it back exactly.  On the
+    disk a g-side integrand with a power of u at or below u^(-1) diverges at
+    w_-^2 = 0 and raises DivergentIntegralError.
     """
     lo2, hi2 = family.w_minus**2, family.w_plus**2
     f_out, g_out, diag_out = {}, {}, None
@@ -307,7 +308,6 @@ class KernelOperatorSpec:
     t: float
     family: WeightFamily
     window: IndexWindow
-    coefficient: object = None   # optional input-coefficient weighting
 
     def parts(self, mode: QtKernelMode) -> _TParts:
         if self.kind not in ("T1", "T2"):
@@ -324,8 +324,6 @@ class KernelOperatorSpec:
         else:
             parts = _t2_parts(arrays, K, n, p_n)
         parts.mu = np.sqrt(arrays.s[:K] * arrays.s[n:n + K])
-        if self.coefficient is not None:
-            parts.b = parts.b * np.abs(self.coefficient(arrays.w_sq[:K]))
         return parts
 
 

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from dense_oracle import brute_scans
 from fixtures import (

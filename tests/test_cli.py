@@ -168,6 +168,31 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"].startswith("numerical-failure")
 
+    @pytest.mark.parametrize("experiment", ["inverse", "schur"])
+    def test_window_failure_names_t(self, tmp_path, experiment):
+        # these drivers solve their windows directly, not through limits
+        cfg = parse_config(minimal_config(
+            experiment=experiment, t_grid=[0.001],
+            truncation={"tail_tol": 1e-6, "k_cap": 1000}))
+        art = run_experiment(cfg, out_dir=tmp_path)
+        assert art.exit_code == EXIT_NUMERICAL
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"].startswith("numerical-failure")
+        assert "t=0.001" in manifest["status"]
+
+    def test_divergent_classical_norm_manifest(self, tmp_path):
+        # c = s^(-1/2): int_0 c^2 ds = int_0 ds / s diverges on the disk
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(minimal_config(
+            t_grid=[0.4, 0.2], truncation={"tail_tol": 1e-4},
+            element=[{"side": "diag", "n": 0, "kind": "half_power",
+                      "coeffs": [1.0], "min_power": -1}]))
+        assert main(["norms", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["status"].startswith("numerical-failure")
+        assert "diverges" in manifest["status"]
+
     def test_divergent_transform_manifest(self, tmp_path):
         # the classical parametrix integrates u^(-3/2) from w_-^2 = 0
         cfgfile = tmp_path / "run.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdbar.elements import (
-    BandMatrix, IndexWindow, PowerSum, Transform, classical_norm,
+    BandMatrix, PowerSum, Transform, classical_norm,
     coordinate_element, lambda_norm_sq, make_element, quantum_norm,
     realize_quantum, truncation_window, window_from_range,
 )
@@ -285,85 +285,104 @@ class TestClassicalNorm:
         assert classical_norm(e, fam) ** 2 == pytest.approx(
             fam.w_plus**2 - fam.w_minus**2, abs=1e-12)
 
+    def test_needs_power_sum(self):
+        e = make_element([{"side": "f", "n": 1, "fn": np.sqrt}])
+        with pytest.raises(CapabilityError):
+            classical_norm(e, disk())
+
+    @settings(max_examples=200, deadline=None)
+    @given(bands=st.lists(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0),
+                                             st.floats(-2.0, -1e-3)),
+                                   min_size=1, max_size=4),
+                          min_size=1, max_size=3),
+           min_powers=st.lists(st.integers(-3, 4), min_size=3, max_size=3),
+           on_disk=st.booleans())
+    def test_random_half_power_sums(self, bands, min_powers, on_disk):
+        # the exact sum of int c^2 over [w_-^2, w_+^2] against `integrate`
+        fam = disk() if on_disk else annulus()
+        lo, hi = fam.w_minus**2, fam.w_plus**2
+        spec = [{"side": "g", "n": n, "kind": "half_power", "coeffs": coeffs,
+                 "min_power": m}
+                for n, (coeffs, m) in enumerate(zip(bands, min_powers), start=1)]
+        e = make_element(spec)
+        if on_disk and any(c.min_power_half < 0 and not c.is_zero()
+                           for _, _, c in e.bands()):
+            with pytest.raises(DivergentIntegralError):    # c^2 has s^(j) with j <= -1
+                classical_norm(e, fam)
+            return
+        want = sum(integrate(lambda s, c=c: c(s) ** 2, lo, hi, tol=1e-14)
+                   for _, _, c in e.bands())
+        assert classical_norm(e, fam) ** 2 == pytest.approx(want, rel=1e-11, abs=1e-14)
+
 
 class TestTransform:
     """The closed form against adaptive quadrature of its integrand."""
 
     @staticmethod
-    def assert_matches_oracle(tr, s, rtol=1e-10):
-        """tr(s) against scale * s^(p/2) * I(s) with I(s) from `integrate`.
+    def assert_matches_oracle(s, p_half, phi, c0, moving, scale=1.0, rtol=1e-10):
+        """Transform(p_half, phi, c0, moving, scale) at s against
+        scale * s^(p/2) * I(s) with I(s) from `integrate`; returns the transform.
 
         A point may differ by rtol times the size of its integral,
         |s^(p/2)| (hi - lo) max|phi|, plus the rounding of a difference of
         antiderivatives, 1e-13 |s^(p/2)| sum_j |a_j| (|A_j(s)| + |A_j(c0)|).
         """
-        phi = tr.integrand
+        tr = Transform(p_half, phi, c0, moving, scale)
         e = (phi.min_power_half + np.arange(phi.coeffs.size)) / 2.0 + 1.0
         s = np.atleast_1d(s)
         for x, got in zip(s, np.atleast_1d(tr(s))):
-            lo, hi = sorted((tr.c0, float(x)))
+            lo, hi = sorted((c0, float(x)))
             # |phi| sampled inside the interval, away from a singular endpoint
             size = (hi - lo) * float(np.max(np.abs(
                 phi(lo + (hi - lo) * np.arange(1, 17) / 16.0))))
             with np.errstate(all="ignore"):
-                terms = np.where(e == 0.0, np.abs(np.log([x, tr.c0])).sum(),
-                                 (x**e + tr.c0**e) / np.abs(e))
+                terms = np.where(e == 0.0, np.abs(np.log([x, c0])).sum(),
+                                 (x**e + c0**e) / np.abs(e))
             rounding = 1e-13 * float(np.abs(phi.coeffs) @ terms)
-            sign = 1.0 if (x >= tr.c0) == (tr.moving == "upper") else -1.0
-            pref = math.sqrt(x) ** tr.p_half
-            want = tr.scale * sign * pref * integrate(phi, lo, hi, tol=1e-13 * size)
+            sign = 1.0 if (x >= c0) == (moving == "upper") else -1.0
+            pref = math.sqrt(x) ** p_half
+            want = scale * sign * pref * integrate(phi, lo, hi, tol=1e-13 * size)
             assert abs(got - want) <= abs(pref) * (rtol * size + rounding), \
                 (x, got, want)
+        return tr
 
     def test_matches_pointwise_quadrature(self):
         # I(s) = int_0^s u du = s^2/2, value = s^(-1/2) * I(s)
-        tr = Transform(prefactor_half_power=-1, integrand=PowerSum.poly([0.0, 1.0]),
-                       fixed_endpoint=0.0, moving="upper")
         s = np.linspace(0.05, 1.0, 37)
+        tr = self.assert_matches_oracle(s, -1, PowerSum.poly([0.0, 1.0]), 0.0, "upper")
         assert np.allclose(tr(s), 0.5 * s**1.5, atol=1e-12, rtol=0)
-        self.assert_matches_oracle(tr, s)
 
     def test_lower_moving_limit(self):
         # I(s) = int_s^1 du = 1 - s; the grid holds both endpoints 0 and 1
-        tr = Transform(prefactor_half_power=0, integrand=PowerSum.poly([1.0]),
-                       fixed_endpoint=1.0, moving="lower")
         s = np.linspace(0.0, 1.0, 11)
+        tr = self.assert_matches_oracle(s, 0, PowerSum.poly([1.0]), 1.0, "lower")
         assert np.allclose(tr(s), 1.0 - s, atol=1e-13, rtol=0)
-        self.assert_matches_oracle(tr, s)
 
     def test_derivative_via_ftc(self):
-        tr = Transform(prefactor_half_power=2, integrand=PowerSum.poly([1.0]),
-                       fixed_endpoint=0.0, moving="upper")  # s * int_0^s du = s^2
-        s = np.array([0.3, 0.7])
-        assert np.allclose(tr.derivative_at(s), 2.0 * s, atol=1e-12, rtol=0)
+        s = np.array([0.3, 0.7])   # s * int_0^s du = s^2
+        tr = self.assert_matches_oracle(s, 2, PowerSum.poly([1.0]), 0.0, "upper")
+        assert np.allclose(tr.derivative()(s), 2.0 * s, atol=1e-12, rtol=0)
         assert np.allclose(tr(s), s * s, atol=1e-13, rtol=0)
-        self.assert_matches_oracle(tr, s)
 
     def test_unsorted_queries(self):
-        tr = Transform(prefactor_half_power=0, integrand=PowerSum.poly([0.0, 1.0]),
-                       fixed_endpoint=0.0, moving="upper")
         s = np.array([0.9, 0.1, 0.5])
+        tr = self.assert_matches_oracle(s, 0, PowerSum.poly([0.0, 1.0]), 0.0, "upper")
         assert np.allclose(tr(s), 0.5 * s * s, atol=1e-13, rtol=0)
-        self.assert_matches_oracle(tr, s)
 
     def test_scalar_call(self):
-        tr = Transform(prefactor_half_power=0, integrand=PowerSum.poly([0.0, 1.0]),
-                       fixed_endpoint=0.0, moving="upper")
+        tr = self.assert_matches_oracle(0.6, 0, PowerSum.poly([0.0, 1.0]), 0.0, "upper")
         assert tr(0.6) == pytest.approx(0.18, abs=1e-13)
-        self.assert_matches_oracle(tr, 0.6)
 
     def test_log_term(self):
         # corrected f-side of a constant f_2 on the annulus: -s^(1/2) int_s^{w_+^2} du/u
         fam = annulus()
         lo, hi = fam.w_minus**2, fam.w_plus**2
-        tr = Transform(prefactor_half_power=1,
-                       integrand=PowerSum.poly([1.0]).shift_half_power(-2),
-                       fixed_endpoint=hi, moving="lower", scale=-1.0)
-        assert tr.log_coeff == 1.0
         s = np.linspace(lo, hi, 41)
+        tr = self.assert_matches_oracle(
+            s, 1, PowerSum.poly([1.0]).shift_half_power(-2), hi, "lower", scale=-1.0)
+        assert tr.Q == PowerSum([1.0], 1)     # the s^(1/2) log s part
         assert np.allclose(tr(s), -np.sqrt(s) * np.log(hi / s), atol=1e-13, rtol=0)
-        self.assert_matches_oracle(tr, s)
-        assert np.allclose(tr.derivative_at(s),
+        assert np.allclose(tr.derivative()(s),
                            -0.5 * np.log(hi / s) / np.sqrt(s) + 1.0 / np.sqrt(s),
                            atol=1e-13, rtol=0)
 
@@ -399,9 +418,9 @@ class TestTransform:
             with pytest.raises(DivergentIntegralError):
                 Transform(p_half, phi, lo, moving)
             return
-        tr = Transform(p_half, phi, lo if moving == "upper" else hi, moving,
-                       scale=-1.0 if moving == "lower" else 1.0)
         s = [*(lo + (hi - lo) * np.array(interior)), hi]
         if not on_disk or (p_half >= 0 and phi.min_power_half >= 0):
             s.append(lo)        # w_-^2 on the annulus; 0 where finite on the disk
-        self.assert_matches_oracle(tr, np.array(s), rtol=1e-9)
+        self.assert_matches_oracle(np.array(s), p_half, phi,
+                                   lo if moving == "upper" else hi, moving,
+                                   scale=-1.0 if moving == "lower" else 1.0, rtol=1e-9)

@@ -3,10 +3,7 @@ import pytest
 
 from dense_oracle import brute_scans
 from fixtures import g2_element, mixed_element
-from qdbar.elements import (
-    classical_norm, coordinate_element, lambda_norm_sq, quantum_norm,
-    realize_quantum, truncation_window,
-)
+from qdbar.elements import classical_norm, coordinate_element, truncation_window
 from qdbar import limits
 from qdbar.errors import (
     CapabilityError, InsufficientDataError, ParameterError, WindowResourceError,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import (
     brute_scans, dense_Dt, dense_Qt, dense_realize, dense_t_hat, densify,
@@ -241,10 +243,36 @@ class TestApplyD0:
             assert np.max(np.abs(got - coeff(s))) <= 1e-9
 
     def test_missing_derivative_raises(self):
-        y = tilde_element(g_poly_element(), disk())
-        once = apply_D0(y, disk())
+        e = make_element([{"side": "f", "n": 1, "fn": np.sqrt}])
         with pytest.raises(CapabilityError, match="band"):
-            apply_D0(once, disk())
+            apply_D0(e, disk())
+
+    @staticmethod
+    def band_values(elem, s):
+        """(side, n) -> coefficient samples, the diagonal keyed as ("f", 0)."""
+        return {("f" if side == "diag" else side, n): coeff(s)
+                for side, n, coeff in elem.bands()}
+
+    @settings(max_examples=100, deadline=None)
+    @given(bands=st.lists(
+        st.tuples(st.sampled_from(["f", "g"]), st.integers(0, 4),
+                  st.sampled_from(["poly", "sqrt_poly"]),
+                  st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)),
+        min_size=1, max_size=5, unique_by=lambda b: (b[0] if b[1] else "f", b[1])),
+        on_disk=st.booleans())
+    def test_random_elements_exact(self, bands, on_disk):
+        # D0 Q0 x = x pointwise, and D0 maps the image of a Transform again
+        fam = disk() if on_disk else annulus()
+        x = make_element([{"side": side if n else "diag", "n": n, "kind": kind,
+                           "coeffs": coeffs} for side, n, kind, coeffs in bands])
+        lo, hi = fam.w_minus**2, fam.w_plus**2
+        s = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 100)
+        back = apply_D0(tilde_element(x, fam, CORRECTED), fam)
+        for want, got in ((self.band_values(x, s), self.band_values(back, s)),
+                          (self.band_values(apply_D0(x, fam), s),
+                           self.band_values(apply_D0(back, fam), s))):
+            for key in want.keys() | got.keys():
+                assert np.max(np.abs(got.get(key, 0.0) - want.get(key, 0.0))) <= 1e-9, key
 
 
 class TestSchur:
@@ -257,14 +285,6 @@ class TestSchur:
         assert np.max(np.abs(sb.rows - fam.weight(t, ks))) < 1e-12
         assert sb.row_sup <= 1.0
         assert np.isfinite(sb.bound)
-
-    def test_zero_coefficient_gives_zero_bound(self):
-        fam, t = disk(), 0.5
-        win = window_from_range(fam, t, 0, 100)
-        spec = KernelOperatorSpec(kind="T2", n=1, t=t, family=fam, window=win,
-                                  coefficient=lambda s: np.zeros_like(s))
-        assert schur_young_bound(spec).bound == 0.0
-        assert operator_norm_estimate(spec).value == 0.0
 
     @pytest.mark.parametrize("fam", [disk(), annulus()])
     @pytest.mark.parametrize("mode", [CORRECTED, PRINTED])

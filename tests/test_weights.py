@@ -6,8 +6,8 @@ import pytest
 
 from qdbar.errors import ParameterError, WindowResourceError
 from qdbar.weights import (
-    Domain, FamilyKind, condition_report, make_family, s_ratio_margin,
-    s_value, weight_value,
+    Domain, condition_report, make_family, s_ratio_margin, s_value,
+    weight_value,
 )
 
 T_GRID = [0.5, 0.25, 0.1, 0.01]
