@@ -25,6 +25,7 @@ from .operators import (
 )
 from .quadrature import integrate
 from .weights import (
-    ConditionReport, Domain, FamilyKind, WeightFamily, condition_report,
-    make_family, s_ratio_margin, s_value, weight_value,
+    BilateralArctan, BilateralRational, ConditionReport, Domain, FamilyKind,
+    UnilateralExample, WeightFamily, condition_report, make_family,
+    s_ratio_margin,
 )

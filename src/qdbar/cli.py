@@ -30,7 +30,7 @@ from . import __version__
 from .elements import DEFAULT_K_CAP, make_element, truncation_window
 from .errors import (
     ConfigInvalidError, ConfigSyntaxError, DivergentIntegralError,
-    InsufficientDataError, ParameterError, QdbarError, WindowResourceError,
+    ParameterError, QdbarError, WindowResourceError,
 )
 from .limits import (
     continuity_scan, inverse_residual, inverse_residual_bound,
@@ -119,8 +119,83 @@ def _is_number(value) -> bool:
         and math.isfinite(value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+    return _is_int(value) and value > 0
+
+
+def _section(config, key) -> dict:
+    """The config section `key`, {} when absent; ParameterError unless an object."""
+    section = config.data.get(key, {})
+    if not isinstance(section, dict):
+        raise ParameterError(f"{key} must be an object, got {section!r}")
+    return section
+
+
+def _weights_check_settings(config):
+    """(k_lo, k_hi, tail_index) of a check-weights run, with their defaults.
+
+    The default window is [0, 10000] on the disk and [-10000, 10000] on the
+    annulus; the default tail index is half the window top (at least 1).
+    """
+    fam = config.family()
+    wc = _section(config, "weights_check")
+    window = wc.get("window")
+    if window is None:
+        k_hi = 10_000
+        k_lo = 0 if fam.domain is Domain.DISK else -k_hi
+    elif isinstance(window, list) and len(window) == 2 \
+            and all(_is_int(k) and abs(k) <= 2**53 for k in window):
+        k_lo, k_hi = window
+    else:   # beyond 2^53 the float evaluators no longer resolve single indices
+        raise ParameterError(
+            f"weights_check.window must be two integers within +-2^53, got {window!r}")
+    k_lo, k_hi = fam.check_window(k_lo, k_hi)
+    if k_hi - k_lo + 1 > config.k_cap:
+        raise ParameterError(f"weights_check.window spans {k_hi - k_lo + 1} indices, "
+                             f"more than truncation.k_cap = {config.k_cap}")
+    tail_index = wc.get("tail_index", max(1, k_hi // 2))
+    if not (_is_int(tail_index) and k_lo <= tail_index <= k_hi):
+        raise ParameterError("weights_check.tail_index must be an integer inside the "
+                             f"window [{k_lo}, {k_hi}], got {tail_index!r}")
+    return k_lo, k_hi, tail_index
+
+
+def _schur_settings(config):
+    """(max_n, iters, kinds) of a schur run, defaults 8, 500 and both kinds."""
+    sc = _section(config, "schur")
+    max_n, iters = sc.get("max_n", 8), sc.get("iters", 500)
+    kinds = sc.get("kinds", ["T1", "T2"])
+    if not (_is_int(max_n) and 0 <= max_n <= MAX_BAND):
+        raise ParameterError(f"schur.max_n must be an integer in [0, {MAX_BAND}], got {max_n!r}")
+    if not _is_positive_int(iters):
+        raise ParameterError(f"schur.iters must be a positive integer, got {iters!r}")
+    if not (isinstance(kinds, list) and all(kind in ("T1", "T2") for kind in kinds)):
+        raise ParameterError(f"schur.kinds must be a list drawn from 'T1', 'T2', got {kinds!r}")
+    return max_n, iters, kinds
+
+
+def _continuity_settings(config):
+    """(t_lo, t_hi, steps) of a continuity run, defaults 0.05, 0.9 and 100."""
+    cc = _section(config, "continuity")
+    t_lo, t_hi, steps = cc.get("t_lo", 0.05), cc.get("t_hi", 0.9), cc.get("steps", 100)
+    if not (_is_number(t_lo) and _is_number(t_hi) and 0 < t_lo < t_hi < 1):
+        raise ParameterError("continuity needs numbers 0 < t_lo < t_hi < 1, "
+                             f"got t_lo={t_lo!r}, t_hi={t_hi!r}")
+    if not (_is_int(steps) and steps >= 2):
+        raise ParameterError(f"continuity.steps must be an integer >= 2, got {steps!r}")
+    return float(t_lo), float(t_hi), steps
+
+
+# the experiments whose own config section parse_config checks
+_SECTIONS = {
+    "check-weights": _weights_check_settings,
+    "schur": _schur_settings,
+    "continuity": _continuity_settings,
+}
 
 
 def parse_config(text: str, experiment: str | None = None) -> RunConfig:
@@ -191,6 +266,8 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     needs_element = data["experiment"] not in ("check-weights", "schur")
     try:
         config.family()
+        if data["experiment"] in _SECTIONS:
+            _SECTIONS[data["experiment"]](config)
         if needs_element:
             if "element" not in data and "elements" not in data:
                 raise ParameterError("config needs an 'element' band spec")
@@ -199,7 +276,7 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
                     raise ParameterError(
                         f"element band index N={elem.N} exceeds the cap {MAX_BAND}")
         config.qt_mode()
-    except (ParameterError, ValueError, KeyError, TypeError) as exc:
+    except (ParameterError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigInvalidError(f"invalid config: {exc}") from exc
     return config
 
@@ -233,12 +310,7 @@ def write_report(rows, columns, path: Path, fmt: str):
 
 def _run_check_weights(config, points):
     fam = config.family()
-    wc = config.data.get("weights_check", {})
-    k_hi = int(wc.get("window", [0, 10_000])[1])
-    k_lo = 0 if fam.domain is Domain.DISK else -k_hi
-    if "window" in wc:
-        k_lo = int(wc["window"][0])
-    tail_index = int(wc.get("tail_index", max(1, k_hi // 2)))
+    k_lo, k_hi, tail_index = _weights_check_settings(config)
     grid = config.t_grid()
     rep = condition_report(fam, grid, (k_lo, k_hi), tail_index)
     h3_delta = rep.h3_closed_cross
@@ -324,10 +396,7 @@ def _run_inverse(config, points):
 def _run_schur(config, points):
     fam = config.family()
     mode = config.qt_mode()
-    sc = config.data.get("schur", {})
-    max_n = int(sc.get("max_n", 8))
-    iters = int(sc.get("iters", 500))
-    kinds = sc.get("kinds", ["T1", "T2"])
+    max_n, iters, kinds = _schur_settings(config)
     rows = []
     bad = False
     for t in config.t_grid():
@@ -355,10 +424,7 @@ def _run_schur(config, points):
 
 
 def _run_continuity(config, points):
-    cc = config.data.get("continuity", {})
-    t_lo = float(cc.get("t_lo", 0.05))
-    t_hi = float(cc.get("t_hi", 0.9))
-    steps = int(cc.get("steps", 100))
+    t_lo, t_hi, steps = _continuity_settings(config)
     rows_out = continuity_scan(config.element(), config.family(), (t_lo, t_hi),
                                steps, config.tail_tol, config.k_cap)
     rows = []
@@ -423,8 +489,7 @@ def run_experiment(config: RunConfig, out_dir=None, fmt=None) -> RunArtifacts:
             status = "condition-failure"
         elif exit_code == EXIT_PROPERTY:
             status = "property-failure"
-    except (WindowResourceError, DivergentIntegralError,
-            InsufficientDataError) as exc:
+    except (WindowResourceError, DivergentIntegralError) as exc:
         status = f"numerical-failure: {exc}"
         exit_code = EXIT_NUMERICAL
     except QdbarError as exc:

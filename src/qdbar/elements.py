@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (
     CapabilityError, DivergentIntegralError, ParameterError, WindowResourceError,
 )
-from .weights import Domain, WeightFamily
+from .weights import WeightFamily
 
 CHUNK = 1 << 22  # fixed streaming block size; fixed => deterministic sums
 DEFAULT_K_CAP = 20_000_000  # largest window index a run may need
@@ -363,9 +363,7 @@ def truncation_window(family: WeightFamily, t: float, tail_tol: float,
     The cap is checked against the closed-form guess before the exact solve,
     whose local adjust steps crawl once indices pass 2^53.
     """
-    if tail_tol <= 0:
-        raise ParameterError("tail_tol must be positive")
-    guess = family.k_hi_guess(t, tail_tol)
+    guess = family.k_hi_guess(t, tail_tol)   # raises on tail_tol <= 0
     if guess - 2.0 > k_cap:
         raise WindowResourceError(
             f"window at t={t} needs indices out to about {guess:.6g}, beyond the cap {k_cap}",
@@ -384,12 +382,9 @@ def truncation_window(family: WeightFamily, t: float, tail_tol: float,
 
 def window_from_range(family: WeightFamily, t: float, k_lo: int, k_hi: int) -> IndexWindow:
     """Window over an explicit range, carrying the bounds it actually achieves."""
-    if k_lo > k_hi:
-        raise ParameterError("empty window")
-    if family.domain is Domain.DISK and k_lo != 0:
-        raise ParameterError("disk windows start at k_lo = 0")
+    k_lo, k_hi = family.check_window(k_lo, k_hi)
     hi = family.tail_bound_hi(t, k_hi)
-    lo = family.tail_bound_lo(t, k_lo) if family.domain is Domain.ANNULUS else 0.0
+    lo = family.tail_bound_lo(t, k_lo)
     return IndexWindow(k_lo=k_lo, k_hi=k_hi, tail_tol=max(hi, lo),
                        tail_bound_hi=hi, tail_bound_lo=lo)
 
@@ -454,14 +449,14 @@ class _WindowArrays:
 
 
 def realize_quantum(elem: LambdaElement, family: WeightFamily, t: float,
-                    window: IndexWindow, dtype=np.float64) -> BandMatrix:
+                    window: IndexWindow) -> BandMatrix:
     """Sample the element's coefficients into a banded matrix at parameter t.
 
     Band +n holds f_n(w_t(col)^2) at (col+n, col); band -n holds
     g_n(w_t(col-n)^2) at (col-n, col); the diagonal samples its own function.
     """
     K = window.size
-    w_sq = family.weight_sq(t, np.arange(window.k_lo, window.k_hi + 1), dtype)
+    w_sq = family.weight_sq(t, np.arange(window.k_lo, window.k_hi + 1))
     bands = {}
     for side, n, coeff in elem.bands():
         if n >= K:

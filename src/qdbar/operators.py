@@ -34,7 +34,7 @@ from .elements import (
     BandMatrix, IndexWindow, LambdaElement, PowerSum, Transform, _WindowArrays,
 )
 from .errors import CapabilityError, ParameterError, WindowResourceError
-from .weights import Domain, WeightFamily
+from .weights import WeightFamily
 
 MAX_BAND = 16  # cap on consecutive-weight product length
 
@@ -342,11 +342,10 @@ class SchurBound:
 def schur_analytic_cap(family: WeightFamily) -> float:
     """t-independent kernel-norm cap 2 (w_+ - w_-) wconst^(1/4).
 
-    Follows from sum_k S(k)/w(k) <= 2 (w_+ - w_-)  (2 w_+ on the disk) plus
+    Follows from sum_k S(k)/w(k) <= 2 (w_+ - w_-)  (w_- = 0 on the disk) plus
     one weight-ratio transfer, applied to both Schur factors.
     """
-    w_minus = family.w_minus if family.domain is Domain.ANNULUS else 0.0
-    return 2.0 * (family.w_plus - w_minus) * family.wconst_analytic() ** 0.25
+    return 2.0 * (family.w_plus - family.w_minus) * family.wconst_analytic() ** 0.25
 
 
 def schur_young_bound(spec: KernelOperatorSpec,

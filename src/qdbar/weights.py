@@ -7,7 +7,7 @@ derived diagonal S_t(k) = w_t(k)^2 - w_t(k-1)^2 is the commutator of the
 weighted shift with its adjoint; it is trace class with trace
 w_plus^2 - w_minus^2 and plays the role of a quantized area element.
 
-Three built-in families are provided:
+Three built-in families are provided, one WeightFamily subclass each:
 
 * ``unilateral_example``   w_t(k)^2 = (k+1)t / (1 + (k+1)t)        (disk)
 * ``bilateral_rational``   w_t(k)^2 = alpha + beta*t*k/(1 + t|k|)  (annulus)
@@ -47,16 +47,29 @@ def _check_t(t):
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """One of the built-in weight families, with its closed-form limits."""
+    """A weight family with its closed-form limits, tail bounds and moduli.
 
-    kind: FamilyKind
-    domain: Domain
+    Each built-in family is a subclass that sets the class attribute `kind`
+    and owns its formulas: the `_weight_sq`, `_s` and `_k_hi_guess` hooks,
+    the tail bounds, the moduli and `wconst_analytic`.  A bilateral family
+    has w_t(k)^2 = alpha + beta g(tk) with an odd profile g and sets
+    `_spread` = beta g(+inf), so w_plus^2, w_minus^2 = alpha +- spread; the
+    base `_from_params` checks the parameters with it.  The base methods
+    treat the index set as Z (`domain` is the annulus); the disk family
+    overrides the ones that look below k = 0.  Build families with
+    `make_family`, which validates the parameters.
+    """
+
     alpha: float
     beta: float
     w_plus: float
     w_minus: float
+    domain = Domain.ANNULUS
 
-    # -- evaluation -------------------------------------------------------
+    # weight_sq, s and solve_k_hi are defined on this class only: the
+    # benchmark tracer (perfbench/spans.py) wraps them here, so an override in
+    # a subclass would bypass it and its weights.* metrics would read 0.
+    # tests/test_weights.py fails on such an override.
 
     def weight_sq(self, t, k, dtype=np.float64):
         """w_t(k)^2, vectorized over k; disk indices k < 0 give 0.
@@ -65,49 +78,32 @@ class WeightFamily:
         inverse-residual pipeline, where rounding is amplified by 1/S).
         """
         _check_t(t)
-        k = np.asarray(k, dtype=dtype)
-        if self.kind is FamilyKind.UNILATERAL_EXAMPLE:
-            m = (k + 1.0) * t
-            return np.where(k < 0, 0.0, m / (1.0 + m))
-        if self.kind is FamilyKind.BILATERAL_RATIONAL:
-            return self.alpha + self.beta * t * k / (1.0 + t * np.abs(k))
-        return self.alpha + self.beta * np.arctan(t * k)
+        return self._weight_sq(t, np.asarray(k, dtype=dtype))
 
-    def weight(self, t, k, dtype=np.float64):
+    def weight(self, t, k):
         """w_t(k), vectorized over k."""
-        return np.sqrt(self.weight_sq(t, k, dtype))
+        return np.sqrt(self.weight_sq(t, k))
 
     def s(self, t, k, dtype=np.float64):
         """S_t(k) = w_t(k)^2 - w_t(k-1)^2 via cancellation-free closed forms."""
         _check_t(t)
-        k = np.asarray(k, dtype=dtype)
-        if self.kind is FamilyKind.UNILATERAL_EXAMPLE:
-            val = t / ((1.0 + k * t) * (1.0 + (k + 1.0) * t))
-            return np.where(k < 0, 0.0, val)
-        if self.kind is FamilyKind.BILATERAL_RATIONAL:
-            return self.beta * t / ((1.0 + t * np.abs(k)) * (1.0 + t * np.abs(k - 1.0)))
-        # arctan(a) - arctan(b) = arctan((a-b)/(1+ab)); here a*b >= 0.
-        return self.beta * np.arctan(t / (1.0 + t * t * k * (k - 1.0)))
+        return self._s(t, np.asarray(k, dtype=dtype))
+
+    def check_window(self, k_lo, k_hi):
+        """(k_lo, k_hi) as ints; ParameterError unless a nonempty window of the index set."""
+        k_lo, k_hi = int(k_lo), int(k_hi)
+        if k_lo > k_hi:
+            raise ParameterError(f"empty index window [{k_lo}, {k_hi}]")
+        return k_lo, k_hi
 
     # -- tail bounds and truncation solves --------------------------------
 
     def tail_bound_hi(self, t, k_hi):
         """w_plus^2 - w_t(k_hi)^2, the omitted upper S-mass beyond k_hi."""
-        _check_t(t)
-        if self.kind is FamilyKind.UNILATERAL_EXAMPLE:
-            return 1.0 / (1.0 + (k_hi + 1.0) * t)
-        if self.kind is FamilyKind.BILATERAL_RATIONAL:
-            return self.beta / (1.0 + t * abs(k_hi)) if k_hi >= 0 else (
-                self.w_plus**2 - float(self.weight_sq(t, k_hi)))
         return self.w_plus**2 - float(self.weight_sq(t, k_hi))
 
     def tail_bound_lo(self, t, k_lo):
-        """w_t(k_lo)^2 - w_minus^2 (zero on the disk with k_lo = 0)."""
-        _check_t(t)
-        if self.domain is Domain.DISK:
-            return float(self.weight_sq(t, k_lo)) if k_lo > 0 else 0.0
-        if self.kind is FamilyKind.BILATERAL_RATIONAL and k_lo <= 0:
-            return self.beta / (1.0 + t * abs(k_lo))
+        """w_t(k_lo)^2 - w_minus^2, the omitted lower S-mass below k_lo."""
         return float(self.weight_sq(t, k_lo)) - self.w_minus**2
 
     def k_hi_guess(self, t, tol):
@@ -119,15 +115,7 @@ class WeightFamily:
         _check_t(t)
         if tol <= 0:
             raise ParameterError("tail tolerance must be positive")
-        if self.kind is FamilyKind.UNILATERAL_EXAMPLE:
-            return (1.0 / tol - 1.0) / t - 1.0
-        if self.kind is FamilyKind.BILATERAL_RATIONAL:
-            return (self.beta / tol - 1.0) / t
-        x = tol / self.beta
-        if x >= math.pi / 2:
-            return 0.0
-        d = t * math.tan(x)
-        return 1.0 / d if d > 0.0 else math.inf   # d underflows for tiny tol
+        return self._k_hi_guess(t, tol)
 
     def solve_k_hi(self, t, tol):
         """Smallest k with tail_bound_hi(t, k) <= tol (closed form, then local adjust).
@@ -148,9 +136,7 @@ class WeightFamily:
         return k
 
     def solve_k_lo(self, t, tol):
-        """Largest k with tail_bound_lo(t, k) <= tol; 0 on the disk."""
-        if self.domain is Domain.DISK:
-            return 0
+        """Largest k with tail_bound_lo(t, k) <= tol."""
         # Both bilateral families are symmetric: reuse the upper solve.
         k = -self.solve_k_hi(t, tol)
         while self.tail_bound_lo(t, k) > tol:
@@ -161,106 +147,209 @@ class WeightFamily:
 
     # -- closed-form moduli (where the family admits them) -----------------
 
-    def h1_closed(self, t):
-        """sup_k S_t(k) in closed form, or None if not available."""
-        if self.kind is FamilyKind.UNILATERAL_EXAMPLE:
-            return t / (1.0 + t)
-        if self.kind is FamilyKind.BILATERAL_RATIONAL:
-            return self.beta * t / (1.0 + t)
-        return self.beta * math.atan(t)
-
     def h2_closed(self, t):
         """sup_k |1 - S_t(k+1)/S_t(k)| in closed form, or None."""
-        if self.kind is FamilyKind.UNILATERAL_EXAMPLE:
-            return 2.0 * t / (1.0 + 2.0 * t)
-        if self.kind is FamilyKind.BILATERAL_RATIONAL:
-            return 2.0 * t
         return None
 
     def h3_closed(self, k):
         """sup_t |1 - w_t(k-1)/w_t(k)| in closed form, or None."""
-        if self.kind is FamilyKind.UNILATERAL_EXAMPLE:
-            k = np.asarray(k, dtype=np.float64)
-            # attained as t -> 0+, where w_t(k-1)/w_t(k) -> sqrt(k/(k+1))
-            return 1.0 - np.sqrt(np.maximum(k, 0.0) / (k + 1.0))
         return None
 
     def h3_closed_stable(self, k):
         """Cancellation-free rationalization of h3_closed, or None."""
-        if self.kind is FamilyKind.UNILATERAL_EXAMPLE:
-            k = np.asarray(k, dtype=np.float64)
-            return 1.0 / (k + 1.0 + np.sqrt(np.maximum(k * k + k, 0.0)))
         return None
 
-    def wconst_analytic(self):
-        """t-independent upper bound on w_t(k)/w_t(k-1) over the index set.
+    # -- parameters ---------------------------------------------------------
 
-        Disk families exclude k = 0, where w_t(-1) = 0 makes the ratio infinite.
+    @classmethod
+    def _from_params(cls, alpha, beta):
+        """The family with these parameters; ParameterError unless admissible.
+
+        Rejects missing, bool, string and non-finite parameters, and ones whose
+        limits come out as w_minus >= w_plus (or w_plus = inf) in floating point.
         """
-        if self.kind is FamilyKind.UNILATERAL_EXAMPLE:
-            return math.sqrt(2.0)  # sup_(k>=1) sqrt((k+1)/k) as t -> 0+
-        if self.kind is FamilyKind.BILATERAL_RATIONAL:
-            return math.sqrt(self.alpha / (self.alpha - self.beta / 2.0))
+        name = cls.kind.value
+        if alpha is None or beta is None:
+            raise ParameterError(f"{name} requires alpha and beta")
+        if isinstance(alpha, (bool, str)) or isinstance(beta, (bool, str)):
+            raise ParameterError(f"{name} alpha and beta must be numbers, got {alpha!r}, {beta!r}")
+        alpha, beta = float(alpha), float(beta)
+        spread = cls._spread(beta)      # w_plus^2 - alpha = alpha - w_minus^2
+        if not (beta > 0 and alpha > spread):
+            raise ParameterError(
+                f"{name} requires alpha > {cls._spread_text} > 0 "
+                f"(got alpha={alpha}, beta={beta}: w_minus^2 = {alpha - spread} "
+                "must be positive)")
+        w_plus, w_minus = math.sqrt(alpha + spread), math.sqrt(alpha - spread)
+        # a non-finite parameter gets here as w_plus = inf (or fails above)
+        if not w_minus < w_plus < math.inf:
+            raise ParameterError(f"{name} needs finite alpha, beta and w_minus < w_plus; got alpha="
+                                 f"{alpha}, beta={beta}: w_minus = {w_minus}, w_plus = {w_plus}")
+        return cls(alpha, beta, w_plus, w_minus)
+
+
+class UnilateralExample(WeightFamily):
+    """w_t(k)^2 = (k+1)t / (1 + (k+1)t) on the disk (k >= 0)."""
+
+    kind = FamilyKind.UNILATERAL_EXAMPLE
+    domain = Domain.DISK
+
+    @classmethod
+    def _from_params(cls, alpha, beta):
+        if alpha is not None or beta is not None:
+            raise ParameterError("unilateral_example takes no alpha/beta parameters")
+        return cls(alpha=0.0, beta=0.0, w_plus=1.0, w_minus=0.0)
+
+    def _weight_sq(self, t, k):
+        m = (k + 1.0) * t
+        return np.where(k < 0, 0.0, m / (1.0 + m))
+
+    def _s(self, t, k):
+        val = t / ((1.0 + k * t) * (1.0 + (k + 1.0) * t))
+        return np.where(k < 0, 0.0, val)
+
+    def check_window(self, k_lo, k_hi):
+        k_lo, k_hi = super().check_window(k_lo, k_hi)
+        if k_lo != 0:
+            raise ParameterError("disk windows start at k_lo = 0")
+        return k_lo, k_hi
+
+    def tail_bound_hi(self, t, k_hi):
+        _check_t(t)
+        return 1.0 / (1.0 + (k_hi + 1.0) * t)
+
+    def tail_bound_lo(self, t, k_lo):
+        """w_t(k_lo)^2 - w_minus^2; zero at the disk's first index k_lo = 0."""
+        _check_t(t)
+        return float(self.weight_sq(t, k_lo)) if k_lo > 0 else 0.0
+
+    def _k_hi_guess(self, t, tol):
+        return (1.0 / tol - 1.0) / t - 1.0
+
+    def solve_k_lo(self, t, tol):
+        """0, the disk's first index."""
+        return 0
+
+    def h1_closed(self, t):
+        """sup_k S_t(k) in closed form."""
+        return t / (1.0 + t)
+
+    def h2_closed(self, t):
+        return 2.0 * t / (1.0 + 2.0 * t)
+
+    def h3_closed(self, k):
+        k = np.asarray(k, dtype=np.float64)
+        # attained as t -> 0+, where w_t(k-1)/w_t(k) -> sqrt(k/(k+1))
+        return 1.0 - np.sqrt(np.maximum(k, 0.0) / (k + 1.0))
+
+    def h3_closed_stable(self, k):
+        k = np.asarray(k, dtype=np.float64)
+        return 1.0 / (k + 1.0 + np.sqrt(np.maximum(k * k + k, 0.0)))
+
+    def wconst_analytic(self):
+        """t-independent upper bound on w_t(k)/w_t(k-1) over k >= 1.
+
+        k = 0 is excluded, where w_t(-1) = 0 makes the ratio infinite.
+        """
+        return math.sqrt(2.0)  # sup_(k>=1) sqrt((k+1)/k) as t -> 0+
+
+
+class BilateralRational(WeightFamily):
+    """w_t(k)^2 = alpha + beta*t*k/(1 + t|k|) on the annulus, alpha > beta > 0."""
+
+    kind = FamilyKind.BILATERAL_RATIONAL
+
+    _spread_text = "beta"
+
+    @staticmethod
+    def _spread(beta):
+        return beta
+
+    def _weight_sq(self, t, k):
+        return self.alpha + self.beta * t * k / (1.0 + t * np.abs(k))
+
+    def _s(self, t, k):
+        return self.beta * t / ((1.0 + t * np.abs(k)) * (1.0 + t * np.abs(k - 1.0)))
+
+    def tail_bound_hi(self, t, k_hi):
+        return self._tail(t, k_hi) if k_hi >= 0 else super().tail_bound_hi(t, k_hi)
+
+    def tail_bound_lo(self, t, k_lo):
+        return self._tail(t, k_lo) if k_lo <= 0 else super().tail_bound_lo(t, k_lo)
+
+    def _tail(self, t, k):
+        """beta/(1 + t|k|): both tails in closed form, from k = 0 outwards."""
+        _check_t(t)
+        return self.beta / (1.0 + t * abs(k))
+
+    def _k_hi_guess(self, t, tol):
+        return (self.beta / tol - 1.0) / t
+
+    def h1_closed(self, t):
+        """sup_k S_t(k) in closed form."""
+        return self.beta * t / (1.0 + t)
+
+    def h2_closed(self, t):
+        return 2.0 * t
+
+    def wconst_analytic(self):
+        """t-independent upper bound on w_t(k)/w_t(k-1) over Z."""
+        return math.sqrt(self.alpha / (self.alpha - self.beta / 2.0))
+
+
+class BilateralArctan(WeightFamily):
+    """w_t(k)^2 = alpha + beta*arctan(t*k) on the annulus, alpha > beta*pi/2 > 0."""
+
+    kind = FamilyKind.BILATERAL_ARCTAN
+
+    _spread_text = "beta*pi/2"
+
+    @staticmethod
+    def _spread(beta):
+        return beta * math.pi / 2.0
+
+    def _weight_sq(self, t, k):
+        return self.alpha + self.beta * np.arctan(t * k)
+
+    def _s(self, t, k):
+        # arctan(a) - arctan(b) = arctan((a-b)/(1+ab)); here a*b >= 0.
+        return self.beta * np.arctan(t / (1.0 + t * t * k * (k - 1.0)))
+
+    def _k_hi_guess(self, t, tol):
+        x = tol / self.beta
+        if x >= math.pi / 2:
+            return 0.0
+        d = t * math.tan(x)
+        return 1.0 / d if d > 0.0 else math.inf   # d underflows for tiny tol
+
+    def h1_closed(self, t):
+        """sup_k S_t(k) in closed form."""
+        return self.beta * math.atan(t)
+
+    def wconst_analytic(self):
+        """t-independent upper bound on w_t(k)/w_t(k-1) over Z."""
         return math.sqrt(self.alpha / (self.alpha - self.beta * math.pi / 4.0))
+
+
+_FAMILIES = {c.kind: c for c in (UnilateralExample, BilateralRational, BilateralArctan)}
 
 
 def make_family(kind, alpha=None, beta=None, domain=None) -> WeightFamily:
     """Build a weight family, validating its parameter invariants.
 
     `kind` may be a FamilyKind or its string value.  `domain`, if given, must
-    agree with the one the kind implies.
+    agree with the one the kind implies.  Adding a family means one
+    WeightFamily subclass plus its entry in `_FAMILIES`.
     """
-    if isinstance(kind, str):
-        try:
-            kind = FamilyKind(kind)
-        except ValueError:
-            raise ParameterError(f"unknown weight family kind {kind!r}") from None
-    if kind is FamilyKind.UNILATERAL_EXAMPLE:
-        implied = Domain.DISK
-        if alpha is not None or beta is not None:
-            raise ParameterError("unilateral_example takes no alpha/beta parameters")
-        w_plus, w_minus = 1.0, 0.0
-        alpha = beta = 0.0
-    else:
-        implied = Domain.ANNULUS
-        if alpha is None or beta is None:
-            raise ParameterError(f"{kind.value} requires alpha and beta")
-        alpha = float(alpha)
-        beta = float(beta)
-        if kind is FamilyKind.BILATERAL_RATIONAL:
-            if not (alpha > beta > 0):
-                raise ParameterError(
-                    "bilateral_rational requires alpha > beta > 0 "
-                    f"(got alpha={alpha}, beta={beta}: w_minus^2 = {alpha - beta} "
-                    "must be positive)")
-            w_plus = math.sqrt(alpha + beta)
-            w_minus = math.sqrt(alpha - beta)
-        else:
-            if not (beta > 0 and alpha > beta * math.pi / 2.0):
-                raise ParameterError(
-                    "bilateral_arctan requires alpha > beta*pi/2 > 0 "
-                    f"(got alpha={alpha}, beta={beta}: w_minus^2 = "
-                    f"{alpha - beta * math.pi / 2.0} must be positive)")
-            w_plus = math.sqrt(alpha + beta * math.pi / 2.0)
-            w_minus = math.sqrt(alpha - beta * math.pi / 2.0)
-    if domain is not None:
-        if isinstance(domain, str):
-            domain = Domain(domain)
-        if domain is not implied:
-            raise ParameterError(
-                f"{kind.value} lives on the {implied.value}, not the {domain.value}")
-    return WeightFamily(kind=kind, domain=implied, alpha=alpha, beta=beta,
-                        w_plus=w_plus, w_minus=w_minus)
-
-
-def weight_value(family: WeightFamily, t: float, k) -> float:
-    """w_t(k); on the disk, k < 0 returns 0 by convention."""
-    return float(family.weight(t, k)) if np.isscalar(k) else family.weight(t, k)
-
-
-def s_value(family: WeightFamily, t: float, k) -> float:
-    """S_t(k) = w_t(k)^2 - w_t(k-1)^2 (strictly positive on the index set)."""
-    return float(family.s(t, k)) if np.isscalar(k) else family.s(t, k)
+    try:
+        kind = FamilyKind(kind)
+    except ValueError:
+        raise ParameterError(f"unknown weight family kind {kind!r}") from None
+    fam = _FAMILIES[kind]._from_params(alpha, beta)
+    if domain is not None and Domain(domain) is not fam.domain:
+        raise ParameterError(f"{kind.value} lives on the {fam.domain.value}, "
+                             f"not the {Domain(domain).value}")
+    return fam
 
 
 def s_ratio_margin(family: WeightFamily, t: float, n: int, window) -> float:
@@ -272,7 +361,7 @@ def s_ratio_margin(family: WeightFamily, t: float, n: int, window) -> float:
     """
     if n < 1:
         raise ParameterError("band offset n must be >= 1")
-    k_lo, k_hi = _normalize_window(family, window)
+    k_lo, k_hi = family.check_window(window[0], window[1])
     ks = np.arange(k_lo, k_hi + n + 1)
     s = family.s(t, ks)
     m = k_hi - k_lo + 1
@@ -332,15 +421,6 @@ class ConditionReport:
         return bad
 
 
-def _normalize_window(family, window):
-    k_lo, k_hi = int(window[0]), int(window[1])
-    if k_lo > k_hi:
-        raise ParameterError(f"empty index window [{k_lo}, {k_hi}]")
-    if family.domain is Domain.DISK and k_lo != 0:
-        raise ParameterError("disk windows start at k_lo = 0")
-    return k_lo, k_hi
-
-
 def condition_report(family: WeightFamily, t_grid, window, tail_index: int) -> ConditionReport:
     """Scan the weight conditions over a t-grid and an index window.
 
@@ -351,7 +431,7 @@ def condition_report(family: WeightFamily, t_grid, window, tail_index: int) -> C
     """
     if len(t_grid) == 0:
         raise ParameterError("t_grid must be nonempty")
-    k_lo, k_hi = _normalize_window(family, window)
+    k_lo, k_hi = family.check_window(window[0], window[1])
     M = int(tail_index)
     if not (k_lo <= M <= k_hi):
         raise ParameterError("tail_index must lie inside the window")
@@ -359,8 +439,7 @@ def condition_report(family: WeightFamily, t_grid, window, tail_index: int) -> C
     trace_total = family.w_plus**2 - family.w_minus**2
 
     h1, h2, lim_hi, lim_lo, tr_dev, tr_bound = [], [], [], [], [], []
-    mono_ok = True
-    pos_ok = True
+    mono_ok = pos_ok = True
     h3 = np.zeros(ks.size)
     ratio_max = 0.0
     for t in t_grid:
@@ -372,15 +451,10 @@ def condition_report(family: WeightFamily, t_grid, window, tail_index: int) -> C
         h1.append(float(np.max(s[:-1])))
         h2.append(float(np.max(np.abs(s[1:] / s[:-1] - 1.0))))
         lim_hi.append(float(np.max(np.abs(w[ks >= M] - family.w_plus))))
-        if family.domain is Domain.ANNULUS:
-            lim_lo.append(float(np.max(np.abs(w[ks <= -M] - family.w_minus))))
-        else:
-            lim_lo.append(None)
+        lim_lo.append(float(np.max(np.abs(w[ks <= -M] - family.w_minus)))
+                      if family.domain is Domain.ANNULUS else None)
         tr_dev.append(abs(float(np.sum(s[:-1])) - trace_total))
-        bound = family.tail_bound_hi(t, k_hi)
-        if family.domain is Domain.ANNULUS:
-            bound += family.tail_bound_lo(t, k_lo)
-        tr_bound.append(bound)
+        tr_bound.append(family.tail_bound_hi(t, k_hi) + family.tail_bound_lo(t, k_lo))
         valid = wm1 > 0.0
         h3 = np.maximum(h3, np.where(valid, np.abs(1.0 - wm1 / np.maximum(w, 1e-300)), 1.0))
         with np.errstate(divide="ignore"):
@@ -391,8 +465,8 @@ def condition_report(family: WeightFamily, t_grid, window, tail_index: int) -> C
     h3_stable = family.h3_closed_stable(ks)
     h3_cross = float(np.max(np.abs(h3_ref - h3_stable))) \
         if h3_ref is not None else float("nan")
-    valid_any = (ks >= 1) if family.domain is Domain.DISK else np.ones(ks.size, bool)
-    h3_for_const = float(np.max(h3[valid_any]))
+    # on the disk k = 0 is left out, where w_t(-1) = 0 makes the ratio infinite
+    h3_for_const = float(np.max(h3[ks >= 1] if family.domain is Domain.DISK else h3))
     return ConditionReport(
         t_grid=tuple(t_grid), window=(k_lo, k_hi), tail_index=M,
         h1_values=tuple(h1), h2_values=tuple(h2), h3_values=h3,

@@ -75,19 +75,69 @@ class TestParseConfig:
         {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": 0}},
         {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": 2.0}},
         {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": True}},
+        {"family": {"kind": "bilateral_arctan", "alpha": float("inf"), "beta": 1.0}},
+        {"family": {"kind": "bilateral_rational", "alpha": "2", "beta": 0.5}},
+        {"family": {"kind": "bilateral_rational", "alpha": True, "beta": 0.5}},
+        {"family": {"kind": "bilateral_arctan", "alpha": 1e20, "beta": 1.0}},
+        {"family": {"kind": "bilateral_rational", "alpha": 1e308, "beta": 1e-300}},
+        {"family": {"kind": "bilateral_rational", "alpha": 10**400, "beta": 0.5}},
+        {"experiment": "check-weights", "weights_check": "x"},
+        {"experiment": "check-weights", "weights_check": {"window": "ab"}},
+        {"experiment": "check-weights", "weights_check": {"tail_index": "x"}},
+        {"experiment": "check-weights", "truncation": {"k_cap": 1000},
+         "weights_check": {"window": [0, 1000]}},
+        {"experiment": "check-weights", "weights_check": {"window": [5, 100]}},
+        {"experiment": "check-weights", "weights_check": {"window": [2**70, 2**70 + 4],
+                                                          "tail_index": 2**70 + 2},
+         "family": {"kind": "bilateral_rational", "alpha": 1.0, "beta": 0.5}},
+        {"experiment": "schur", "schur": "x"},
+        {"experiment": "schur", "schur": {"max_n": 17}},
+        {"experiment": "schur", "schur": {"iters": 0}},
+        {"experiment": "schur", "schur": {"kinds": ["T3"]}},
+        {"experiment": "continuity", "continuity": {"t_lo": "a"}},
+        {"experiment": "continuity", "continuity": [1]},
+        {"experiment": "continuity", "continuity": {"t_lo": 0.5, "t_hi": 0.2}},
+        {"experiment": "continuity", "continuity": {"steps": 1}},
     ], ids=["k_cap-str", "k_cap-zero", "k_cap-negative", "k_cap-float",
             "k_cap-bool", "tail_tol-str", "coeff-nan", "coeff-inf", "N-over-cap",
             "output-str", "output-directory-int", "truncation-str", "values-str",
             "count-str", "head-str", "ratio-null", "count-zero", "count-float",
-            "count-bool"])
+            "count-bool", "alpha-inf", "alpha-str", "alpha-bool",
+            "arctan-w_minus-equals-w_plus", "rational-w_minus-equals-w_plus",
+            "alpha-overflows", "weights_check-str", "window-str",
+            "tail_index-str", "window-wider-than-k_cap", "disk-window-not-at-0",
+            "window-beyond-2^53",
+            "schur-str", "max_n-17", "iters-zero", "kinds-T3", "t_lo-str",
+            "continuity-list", "t_lo-above-t_hi", "steps-one"])
     def test_rejects_invalid_values(self, tmp_path, extra):
         text = minimal_config(**extra)
         with pytest.raises(ConfigInvalidError):
             parse_config(text)
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(text)
-        assert main(["norms", "--config", str(cfgfile),
+        experiment = json.loads(text)["experiment"]
+        assert main([experiment, "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == EXIT_INVALID
+
+    def test_kernel_bounds_sections_stay_valid(self):
+        cfg = parse_config(json.dumps({
+            "family": {"kind": "bilateral_rational", "alpha": 1.0, "beta": 0.5},
+            "experiment": "check-weights",
+            "weights_check": {"window": [-50_000, 50_000], "tail_index": 25_000}}))
+        assert cli._weights_check_settings(cfg) == (-50_000, 50_000, 25_000)
+        cfg = parse_config(minimal_config(experiment="schur",
+                                          schur={"max_n": 8, "iters": 600}))
+        assert cli._schur_settings(cfg) == (8, 600, ["T1", "T2"])
+
+    def test_section_defaults(self):
+        disk = parse_config(minimal_config(experiment="check-weights"))
+        assert cli._weights_check_settings(disk) == (0, 10_000, 5000)
+        annulus = parse_config(minimal_config(
+            experiment="check-weights",
+            family={"kind": "bilateral_rational", "alpha": 1.0, "beta": 0.5}))
+        assert cli._weights_check_settings(annulus) == (-10_000, 10_000, 5000)
+        assert cli._continuity_settings(
+            parse_config(minimal_config(experiment="continuity"))) == (0.05, 0.9, 100)
 
 
 class TestRunExperiment:

@@ -3,11 +3,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdbar.errors import ParameterError, WindowResourceError
 from qdbar.weights import (
-    Domain, condition_report, make_family, s_ratio_margin, s_value,
-    weight_value,
+    Domain, FamilyKind, WeightFamily, condition_report, make_family,
+    s_ratio_margin,
 )
 
 T_GRID = [0.5, 0.25, 0.1, 0.01]
@@ -58,19 +60,19 @@ class TestMakeFamily:
 
 class TestWeightValues:
     def test_boundary_t_one(self):
-        assert weight_value(disk(), 1.0, 0) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert float(disk().weight(1.0, 0)) == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
     def test_negative_index_convention(self):
         for t in T_GRID:
-            assert weight_value(disk(), t, -1) == 0.0
+            assert float(disk().weight(t, -1)) == 0.0
 
     def test_bilateral_center(self):
-        assert weight_value(annulus(), 0.5, 0) == pytest.approx(1.0, abs=1e-15)
+        assert float(annulus().weight(0.5, 0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_t_domain_error(self):
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ParameterError):
-                weight_value(disk(), bad, 3)
+                float(disk().weight(bad, 3))
 
     @pytest.mark.parametrize("fam", [disk(), annulus(), annulus_arctan()])
     def test_strict_monotonicity(self, fam):
@@ -83,10 +85,10 @@ class TestWeightValues:
 class TestSValues:
     def test_closed_form_t1(self):
         # t/((1+kt)(1+(k+1)t)) at t=1, k=1
-        assert s_value(disk(), 1.0, 1) == pytest.approx(1.0 / 6.0, abs=1e-16)
+        assert float(disk().s(1.0, 1)) == pytest.approx(1.0 / 6.0, abs=1e-16)
 
     def test_k0_equals_first_weight_squared(self):
-        assert s_value(disk(), 1.0, 0) == pytest.approx(0.5, abs=1e-16)
+        assert float(disk().s(1.0, 0)) == pytest.approx(0.5, abs=1e-16)
 
     @pytest.mark.parametrize("fam", [disk(), annulus(), annulus_arctan()])
     def test_strictly_positive(self, fam):
@@ -216,3 +218,77 @@ class TestSRatioMargin:
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
             s_ratio_margin(disk(), 0.5, 0, (0, 100))
+
+
+@st.composite
+def admissible_families(draw):
+    """A random family of any kind with admissible alpha, beta."""
+    kind = draw(st.sampled_from(list(FamilyKind)))
+    if kind is FamilyKind.UNILATERAL_EXAMPLE:
+        return make_family(kind)
+    beta = draw(st.floats(0.01, 10.0))
+    spread = beta if kind is FamilyKind.BILATERAL_RATIONAL else beta * math.pi / 2.0
+    return make_family(kind, alpha=spread * draw(st.floats(1.01, 10.0)), beta=beta)
+
+
+# The bilateral_arctan tail bound w_plus^2 - w_t(k)^2 cancels, so its solve
+# steps about k_hi * eps * w_plus^2 / tol indices from the closed-form guess,
+# k_hi ~ beta / (t tol): t >= 1e-3 and tol >= 1e-6 keep that below ~200.
+ts = st.floats(1e-3, 1.0)
+tols = st.floats(1e-6, 0.5)
+
+
+class TestFamilyProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(fam=admissible_families(), t=ts, tol=tols)
+    def test_window_is_minimal_at_both_ends(self, fam, t, tol):
+        k_hi, k_lo = fam.solve_k_hi(t, tol), fam.solve_k_lo(t, tol)
+        assert fam.tail_bound_hi(t, k_hi) <= tol
+        assert k_hi == 0 or fam.tail_bound_hi(t, k_hi - 1) > tol
+        assert fam.tail_bound_lo(t, k_lo) <= tol
+        if fam.domain is Domain.DISK:
+            assert k_lo == 0
+        else:
+            assert k_lo == 0 or fam.tail_bound_lo(t, k_lo + 1) > tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(fam=admissible_families(), t=ts, tol=st.floats(1e-5, 0.5),
+           shrink=st.floats(0.1, 1.0))
+    def test_window_grows_as_tol_shrinks(self, fam, t, tol, shrink):
+        assert fam.solve_k_hi(t, tol * shrink) >= fam.solve_k_hi(t, tol)
+        assert fam.solve_k_lo(t, tol * shrink) <= fam.solve_k_lo(t, tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fam=admissible_families(), t=ts, tol=tols)
+    def test_s_is_the_weight_square_difference_at_the_edges(self, fam, t, tol):
+        k_hi, k_lo = fam.solve_k_hi(t, tol), fam.solve_k_lo(t, tol)
+        ks = np.concatenate([np.arange(k_lo, min(k_lo + 4, k_hi) + 1),
+                             np.arange(max(k_hi - 4, k_lo), k_hi + 1)])
+        direct = fam.weight_sq(t, ks) - fam.weight_sq(t, ks - 1)
+        # both squares are within rounding of w_plus^2, so the difference
+        # carries a few of its units in absolute terms
+        eps = np.finfo(np.float64).eps
+        assert np.max(np.abs(direct - fam.s(t, ks))) <= 8 * eps * fam.w_plus**2
+
+    @settings(max_examples=200, deadline=None)
+    @given(fam=admissible_families(), k_lo=st.integers(-10**6, 10**6),
+           k_hi=st.integers(-10**6, 10**6))
+    def test_check_window(self, fam, k_lo, k_hi):
+        if k_lo > k_hi or (fam.domain is Domain.DISK and k_lo != 0):
+            with pytest.raises(ParameterError):
+                fam.check_window(k_lo, k_hi)
+        else:
+            assert fam.check_window(k_lo, k_hi) == (k_lo, k_hi)
+
+    def test_disk_window_at_zero(self):
+        assert disk().check_window(0, 7) == (0, 7)
+        with pytest.raises(ParameterError, match="empty"):
+            disk().check_window(0, -1)
+
+
+def test_traced_methods_are_not_overridden():
+    # The benchmark tracer wraps these on WeightFamily itself; a subclass
+    # override would bypass the wrapper and its per-layer metrics read 0.
+    for cls in WeightFamily.__subclasses__():
+        for name in ("weight_sq", "s", "solve_k_hi"):
+            assert name not in vars(cls), f"{cls.__name__} overrides {name}"
