@@ -114,9 +114,13 @@ def emit_config(config: RunConfig) -> str:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; bools are excluded."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+    """A finite JSON number; bools and integers beyond float range are excluded."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an integer literal too large for a float
+        return False
 
 
 def _is_int(value) -> bool:

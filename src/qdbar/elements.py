@@ -5,6 +5,10 @@ with continuous coefficient functions of s = r^2 on [w_minus^2, w_plus^2]
 (U is the unweighted shift).  Realized at a parameter t it becomes a banded
 matrix over a truncation window; at t = 0 it is the function
 sum f_n(r^2) e^{i n phi} + sum g_n(r^2) e^{-i n phi} on the disk/annulus.
+Bands are keyed by one signed index b, as in the banded matrix: b = n > 0
+for f_n, b = -n < 0 for g_n and b = 0 for the diagonal.  The config's
+(side, n) pairs are mapped to b in make_element and back in
+export_band_spec.
 
 The quantum norm is the weighted trace norm  tr(S^(1/2) a S^(1/2) a*)^(1/2);
 the classical norm is L^2 with respect to d(r^2) x (dphi / 2 pi).  Both are
@@ -251,32 +255,33 @@ def _add_coeffs(a, b):
 
 @dataclass
 class LambdaElement:
-    """Canonical finite band sum: one optional diagonal, f-bands, g-bands."""
+    """Canonical finite band sum, one coefficient per signed band index b.
 
-    f_bands: dict = field(default_factory=dict)   # n >= 1 -> coefficient
-    g_bands: dict = field(default_factory=dict)   # n >= 1 -> coefficient
-    diagonal: object = None
+    The keys follow BandMatrix: b > 0 is f_b (entries (k+b, k)), b < 0 is
+    g_|b| (entries (k, k+|b|)) and b = 0 is the diagonal.  The d-bar operator
+    raises every key by one and the parametrix lowers it by one.
+    """
+
+    by_band: dict = field(default_factory=dict)   # b -> coefficient
 
     @property
     def N(self) -> int:
-        return max([0, *self.f_bands.keys(), *self.g_bands.keys()])
+        return max([0, *map(abs, self.by_band)])
 
     def bands(self):
-        """(side, n, coeff) in deterministic order: diag, f ascending, g ascending."""
-        if self.diagonal is not None:
-            yield ("diag", 0, self.diagonal)
-        for n in sorted(self.f_bands):
-            yield ("f", n, self.f_bands[n])
-        for n in sorted(self.g_bands):
-            yield ("g", n, self.g_bands[n])
+        """(b, coeff) in deterministic order: b = 0, 1, 2, ..., then -1, -2, ...."""
+        for b in sorted(self.by_band, key=lambda b: (b < 0, abs(b))):
+            yield b, self.by_band[b]
 
     def export_band_spec(self):
+        """The config band spec ({side, n, kind, coeffs}) make_element reads back."""
         out = []
-        for side, n, coeff in self.bands():
+        for b, coeff in self.bands():
             if not isinstance(coeff, PowerSum):
                 raise CapabilityError("only polynomial-type coefficients can be exported")
             kind = coeff.kind
-            entry = {"side": side, "n": n, "kind": kind}
+            side = "diag" if b == 0 else "f" if b > 0 else "g"
+            entry = {"side": side, "n": abs(b), "kind": kind}
             if kind in ("poly", "sqrt_poly"):   # s^0 or s^(1/2) times a polynomial in s
                 entry["coeffs"] = [0.0] * (coeff.min_power_half // 2) + coeff.coeffs[::2].tolist()
             else:
@@ -285,24 +290,19 @@ class LambdaElement:
             out.append(entry)
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, LambdaElement):
-            return NotImplemented
-        return (self.f_bands == other.f_bands and self.g_bands == other.g_bands
-                and self.diagonal == other.diagonal)
-
 
 def make_element(band_spec) -> LambdaElement:
     """Build a canonical element from a band spec list.
 
-    Entries are {side: f|g|diag, n, fn} (or kind/coeffs in place of fn).
-    f/g entries with n = 0 are diagonal contributions and are merged into the
-    single stored diagonal; duplicate (side, n) pairs are rejected.
+    Entries are {side: f|g|diag, n, fn} (or kind/coeffs in place of fn); side
+    f with n is band b = n, side g with n is band b = -n.  f/g entries with
+    n = 0 are diagonal contributions and are merged into the single band
+    b = 0; duplicate (side, n) pairs are rejected.
     """
     if not band_spec:
         raise ParameterError("empty band spec")
     seen = set()
-    f_bands, g_bands, diagonal = {}, {}, None
+    by_band = {}
     for entry in band_spec:
         side = entry["side"]
         n = int(entry.get("n", 0))
@@ -316,25 +316,17 @@ def make_element(band_spec) -> LambdaElement:
         if key in seen:
             raise ParameterError(f"duplicate band for side={side!r}, n={n}")
         seen.add(key)
-        coeff = _coeff_from_spec(entry)
-        if side == "diag" or n == 0:
-            diagonal = _add_coeffs(diagonal, coeff)
-        elif side == "f":
-            f_bands[n] = coeff
-        else:
-            g_bands[n] = coeff
-    return LambdaElement(f_bands=f_bands, g_bands=g_bands, diagonal=diagonal)
+        b = -n if side == "g" else n
+        by_band[b] = _add_coeffs(by_band.get(b), _coeff_from_spec(entry))
+    return LambdaElement(by_band)
 
 
 def coordinate_element(name: str) -> LambdaElement:
-    """The unit, the complex coordinate z, or its adjoint zbar."""
-    if name == "one":
-        return make_element([{"side": "diag", "n": 0, "fn": PowerSum.poly([1.0])}])
-    if name == "z":
-        return make_element([{"side": "f", "n": 1, "fn": PowerSum.sqrt_poly([1.0])}])
-    if name == "zbar":
-        return make_element([{"side": "g", "n": 1, "fn": PowerSum.sqrt_poly([1.0])}])
-    raise ParameterError(f"unknown coordinate element {name!r}")
+    """The unit (band 0), the complex coordinate z (band 1) or its adjoint zbar (band -1)."""
+    b = {"one": 0, "z": 1, "zbar": -1}.get(name)
+    if b is None:
+        raise ParameterError(f"unknown coordinate element {name!r}")
+    return LambdaElement({b: PowerSum.sqrt_poly([1.0]) if b else PowerSum.poly([1.0])})
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +353,7 @@ def truncation_window(family: WeightFamily, t: float, tail_tol: float,
     """Smallest window whose tail bounds are <= tail_tol (closed-form solve).
 
     The cap is checked against the closed-form guess before the exact solve,
-    whose local adjust steps crawl once indices pass 2^53.
+    so a window far beyond the cap fails without searching for its edge.
     """
     guess = family.k_hi_guess(t, tail_tol)   # raises on tail_tol <= 0
     if guess - 2.0 > k_cap:
@@ -448,26 +440,23 @@ class _WindowArrays:
         return np.sqrt(self.w_sq)
 
 
+def band_weight(s: np.ndarray, i: int, b: int, length: int) -> np.ndarray:
+    """mu_b = sqrt(S(k) S(k+b)) at the `length` positions k from i of the array s."""
+    mu = s[i:i + length] * s[i + b:i + b + length]
+    return np.sqrt(mu, out=mu)
+
+
 def realize_quantum(elem: LambdaElement, family: WeightFamily, t: float,
                     window: IndexWindow) -> BandMatrix:
     """Sample the element's coefficients into a banded matrix at parameter t.
 
-    Band +n holds f_n(w_t(col)^2) at (col+n, col); band -n holds
-    g_n(w_t(col-n)^2) at (col-n, col); the diagonal samples its own function.
+    Band b >= 0 holds f_b(w_t(col)^2) at (col+b, col); band b < 0 holds
+    g_|b|(w_t(col+b)^2) at (col+b, col): each entry samples at its smaller index.
     """
     K = window.size
     w_sq = family.weight_sq(t, np.arange(window.k_lo, window.k_hi + 1))
-    bands = {}
-    for side, n, coeff in elem.bands():
-        if n >= K:
-            continue
-        vals = coeff(w_sq[:K - n])           # sampled at the row index of each entry
-        b = n if side in ("f", "diag") else -n
-        if b in bands:
-            bands[b] = bands[b] + vals
-        else:
-            bands[b] = vals
-    return BandMatrix(window, bands, valid_margin=0)
+    return BandMatrix(window, {b: coeff(w_sq[:K - abs(b)])
+                               for b, coeff in elem.bands() if abs(b) < K})
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +472,7 @@ def quantum_norm(a: BandMatrix, family: WeightFamily, t: float) -> float:
         arr = a.bands[b]
         if arr.size == 0:
             continue
-        i = a.band_col_range(b)[0] - k_lo
-        mu = np.sqrt(s[i + b:i + b + arr.size] * s[i:i + arr.size])
+        mu = band_weight(s, a.band_col_range(b)[0] - k_lo, b, arr.size)
         total += float(np.sum(mu * arr * arr))
     return float(np.sqrt(total))
 
@@ -499,7 +487,7 @@ def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
     to rounding.
     """
     k_lo, k_hi = window.k_lo, window.k_hi
-    bands = [(n, coeff) for _, n, coeff in elem.bands() if k_hi - n >= k_lo]
+    bands = [(abs(b), coeff) for b, coeff in elem.bands() if k_hi - abs(b) >= k_lo]
     if not bands:
         return 0.0
     N = max(n for n, _ in bands)
@@ -512,8 +500,7 @@ def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
             if L <= 0:
                 continue
             c = coeff(arrays.w_sq[:L])
-            mu = arrays.s[n:n + L] * arrays.s[:L]
-            np.sqrt(mu, out=mu)
+            mu = band_weight(arrays.s, 0, n, L)
             mu *= c
             mu *= c
             total += float(np.sum(mu))
@@ -532,9 +519,9 @@ def classical_norm(elem: LambdaElement, family: WeightFamily) -> float:
     """
     lo, hi = family.w_minus**2, family.w_plus**2
     total = 0.0
-    for side, n, coeff in elem.bands():
+    for b, coeff in elem.bands():
         if not isinstance(coeff, PowerSum):
             raise CapabilityError(
-                f"classical norms need polynomial-type coefficients ({side}-band {n})")
+                f"classical norms need polynomial-type coefficients (band {b})")
         total += Transform(0, coeff * coeff, lo, "upper")(hi)
     return float(np.sqrt(total))

@@ -1,13 +1,16 @@
 """The balanced d-bar operator, its parametrix, and kernel norm bounds.
 
-The quantum operator acts on banded matrices as
-D_t a = S^(-1/2) [a, U_w] S^(-1/2); commutation with the weighted shift raises
-every band index by one.  Its right inverse under the spectral boundary
-conditions acts band-wise through two families of triangular kernels:
+Bands carry the signed index b of BandMatrix and LambdaElement: b > 0 is
+the f-band f_b, b < 0 the g-band g_|b| and b = 0 the diagonal.  The quantum
+operator acts on banded matrices as D_t a = S^(-1/2) [a, U_w] S^(-1/2);
+commutation with the weighted shift raises every band index by one, and so
+does the classical d-bar operator D_0.  Its right inverse under the spectral
+(APS) boundary conditions lowers every band index by one, through a
+triangular kernel whose summation boundary follows the sign of the output
+band b - 1:
 
-* a suffix-sum kernel feeding input band f_(n+1) into output band +n,
-* a prefix-sum kernel feeding input band g_(n-1) (the diagonal enters as
-  g_0) into output band -n.
+* output bands >= 0 sum from the outer end (a suffix-sum kernel),
+* output bands < 0 sum from the inner end (a prefix-sum kernel).
 
 Two kernel conventions are implemented.  PRINTED keeps the shifted weight
 products with the output-side denominator; CORRECTED places the products and
@@ -32,6 +35,7 @@ import numpy as np
 
 from .elements import (
     BandMatrix, IndexWindow, LambdaElement, PowerSum, Transform, _WindowArrays,
+    band_weight,
 )
 from .errors import CapabilityError, ParameterError, WindowResourceError
 from .weights import WeightFamily
@@ -79,8 +83,7 @@ def apply_Dt(a: BandMatrix, family: WeightFamily, t: float) -> BandMatrix:
         in_vals = _band_at(a, c, lo, hi + 1)          # A_c[col]
         in_next = _band_at(a, c, lo + 1, hi + 2)      # A_c[col+1]
         num = w[i:i + L] * in_next - w[i + b - 1:i + b - 1 + L] * in_vals
-        mu = np.sqrt(s[i:i + L] * s[i + b:i + b + L])
-        acc = num / mu
+        acc = num / band_weight(s, i, b, L)
         out[b] = out.get(b, 0.0) + acc
     return BandMatrix(win, out, valid_margin=a.valid_margin + 1)
 
@@ -133,8 +136,7 @@ def _t1_parts(arrays, K, n, mode, p_n, p_next) -> _TParts:
     """
     if n < 0:
         raise ParameterError("T1 band index must be >= 0")
-    s = arrays.s
-    nu = np.sqrt(s[:K] * s[n + 1:n + 1 + K])
+    nu = band_weight(arrays.s, 0, n + 1, K)
     if mode is QtKernelMode.CORRECTED:
         a = p_n[:K]                                  # w(k)...w(k+n-1)
         b = 1.0 / p_next[:K]                         # 1/(w(i)...w(i+n))
@@ -148,8 +150,7 @@ def _t2_parts(arrays, K, n, p_n) -> _TParts:
     """Prefix kernel l^2_(n-1) -> l^2_n (input band g_(n-1), output band -n)."""
     if n < 1:
         raise ParameterError("T2 band index must be >= 1")
-    s = arrays.s
-    nu = np.sqrt(s[:K] * s[n - 1:n - 1 + K])
+    nu = band_weight(arrays.s, 0, n - 1, K)
     prod = p_n[:K]                                   # w(j)...w(j+n-1)
     return _TParts(a=1.0 / prod, b=prod / arrays.w[n - 1:n - 1 + K],
                    nu=nu, direction="prefix")
@@ -180,8 +181,8 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
              *, dtype=np.float64) -> BandMatrix:
     """Band-wise parametrix application.
 
-    Input band f_(n+1) produces output band +n (sign flipped); input band
-    g_(n-1), with the diagonal fed as g_0, produces output band -n.  Sums run
+    Input band b produces output band b - 1: a suffix scan (sign flipped)
+    for b > 0 and a prefix scan for b <= 0.  Sums run
     over the window: on the disk the prefix sums start at 0 exactly, on the
     annulus the omitted mass below k_lo is controlled by the window's lower
     tail bound.
@@ -192,12 +193,9 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
             needed=elem.N, cap=MAX_BAND)
     K = window.size
     bands = {}
-    suffix, prefix = {}, {}     # output band index n -> input coefficient
-    for side, m, coeff in elem.bands():
-        if side == "f":
-            suffix[m - 1] = coeff
-        else:                       # diagonal enters as g_0
-            prefix[m + 1] = coeff
+    suffix, prefix = {}, {}     # |output band b - 1| -> input coefficient
+    for b, coeff in elem.bands():
+        (suffix if b > 0 else prefix)[abs(b - 1)] = coeff
     if not (suffix or prefix):
         return BandMatrix(window, bands, valid_margin=0)
 
@@ -209,13 +207,13 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
     p_n = next(products)
     for n in range(top + 1):
         p_next = next(products)
+        L = max(K - n, 0)           # band +-n's length; 0 on a window of <= n
         if n in suffix:
             vals = _t_apply(_t1_parts(arrays, K, n, mode, p_n, p_next),
                             suffix[n](svals))
-            bands[n] = np.negative(vals, out=vals)[:K - n]
+            bands[n] = np.negative(vals, out=vals)[:L]
         if n in prefix:
-            bands[-n] = _t_apply(_t2_parts(arrays, K, n, p_n),
-                                 prefix[n](svals))[:K - n]
+            bands[-n] = _t_apply(_t2_parts(arrays, K, n, p_n), prefix[n](svals))[:L]
         p_n = p_next
     return BandMatrix(window, bands, valid_margin=0)
 
@@ -227,72 +225,54 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
 def apply_D0(elem: LambdaElement, family: WeightFamily) -> LambdaElement:
     """The d-bar operator on coefficient functions at t = 0.
 
-    f-band n maps to f-band n+1 with coefficient sqrt(s) f' - (n/(2 sqrt(s))) f
-    (the diagonal acts as f_0); g-band n maps to g-band n-1 with coefficient
-    sqrt(s) g' + (n/(2 sqrt(s))) g, the n = 1 image landing on the diagonal.
+    Band b maps to band b + 1 with coefficient  sqrt(s) c' - (b/(2 sqrt(s))) c,
+    on both sides: f_n goes to f_(n+1), g_n to g_(n-1) and g_1 to the diagonal.
 
     PowerSum and Transform coefficients are each closed under derivative,
     half-power shift, scaling and addition, so the image is exact algebra of
     the same type and can be mapped again.  A plain callable coefficient has
     no derivative and raises CapabilityError.
     """
-    f_out, g_out, diag_out = {}, {}, None
-    for side, n, coeff in elem.bands():
-        if not isinstance(coeff, (PowerSum, Transform)):
-            raise CapabilityError(f"coefficient on {side}-band {n} has no derivative")
-        sign = -1.0 if side in ("f", "diag") else 1.0
-        image = coeff.derivative().shift_half_power(1) + \
-            coeff.scale(sign * n / 2.0).shift_half_power(-1)
-        if image.is_zero():
-            continue
-        if side in ("f", "diag"):
-            f_out[n + 1] = image
-        elif n == 1:
-            diag_out = image
-        else:
-            g_out[n - 1] = image
-    return LambdaElement(f_bands=f_out, g_bands=g_out, diagonal=diag_out)
+    out = {}
+    for b, c in elem.bands():
+        if not isinstance(c, (PowerSum, Transform)):
+            raise CapabilityError(f"coefficient on band {b} has no derivative")
+        image = c.derivative().shift_half_power(1) + c.scale(-b / 2).shift_half_power(-1)
+        if not image.is_zero():
+            out[b + 1] = image
+    return LambdaElement(out)
 
 
 def tilde_element(elem: LambdaElement, family: WeightFamily,
                   mode: QtKernelMode = QtKernelMode.CORRECTED) -> LambdaElement:
     """The classical parametrix image as an element of closed-form transforms.
 
-    g-side (mode independent):  gtilde_n(s) = s^(-n/2) int_{w_-^2}^{s} g_(n-1)(u) u^((n-1)/2) du
-    f-side, PRINTED:   -s^((n-1)/2) int_s^{w_+^2} f_(n+1)(u) u^(-n/2) du
-    f-side, CORRECTED: -s^(n/2)     int_s^{w_+^2} f_(n+1)(u) u^(-(n+1)/2) du
+    Input band b gives output band n = b - 1 with coefficient
+
+        n >= 0:  -s^((n-d)/2) int_s^{w_+^2} c(u) u^((d-n-1)/2) du
+        n < 0:    s^(n/2)     int_{w_-^2}^s c(u) u^(-(n+1)/2) du
+
+    where d = 1 for PRINTED on n >= 0 and d = 0 otherwise.  The integral
+    starts at the outer boundary for bands n >= 0 and at the inner one for
+    n < 0 (the APS boundary condition), and only the side n >= 0 depends on
+    the mode.
 
     Each integrand is a half-power sum, so every coefficient is a Transform
     P(s) + Q(s) log s built from its antiderivative (Q is nonzero only where
     the integrand has u^(-1)), and apply_D0 maps it back exactly.  On the
-    disk a g-side integrand with a power of u at or below u^(-1) diverges at
-    w_-^2 = 0 and raises DivergentIntegralError.
+    disk an integrand of a band n < 0 with a power of u at or below u^(-1)
+    diverges at w_-^2 = 0 and raises DivergentIntegralError.
     """
-    lo2, hi2 = family.w_minus**2, family.w_plus**2
-    f_out, g_out, diag_out = {}, {}, None
-    for side, m, coeff in elem.bands():
-        if not isinstance(coeff, PowerSum):
+    out = {}
+    for b, c in elem.bands():
+        if not isinstance(c, PowerSum):
             raise CapabilityError("tilde transforms need polynomial-type coefficients")
-        if side == "f":
-            n = m - 1
-            if mode is QtKernelMode.CORRECTED:
-                tr = Transform(prefactor_half_power=n,
-                               integrand=coeff.shift_half_power(-(n + 1)),
-                               fixed_endpoint=hi2, moving="lower", scale=-1.0)
-            else:
-                tr = Transform(prefactor_half_power=n - 1,
-                               integrand=coeff.shift_half_power(-n),
-                               fixed_endpoint=hi2, moving="lower", scale=-1.0)
-            if n == 0:
-                diag_out = tr
-            else:
-                f_out[n] = tr
-        else:
-            n = m + 1
-            g_out[n] = Transform(prefactor_half_power=-n,
-                                 integrand=coeff.shift_half_power(n - 1),
-                                 fixed_endpoint=lo2, moving="upper")
-    return LambdaElement(f_bands=f_out, g_bands=g_out, diagonal=diag_out)
+        n = b - 1
+        d = int(mode is QtKernelMode.PRINTED and n >= 0)
+        boundary = (family.w_plus**2, "lower", -1.0) if n >= 0 \
+            else (family.w_minus**2, "upper", 1.0)
+        out[n] = Transform(n - d, c.shift_half_power(d - n - 1), *boundary)
+    return LambdaElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +303,7 @@ class KernelOperatorSpec:
             parts = _t1_parts(arrays, K, n, mode, p_n, next(products))
         else:
             parts = _t2_parts(arrays, K, n, p_n)
-        parts.mu = np.sqrt(arrays.s[:K] * arrays.s[n:n + K])
+        parts.mu = band_weight(arrays.s, 0, n, K)
         return parts
 
 

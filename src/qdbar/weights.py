@@ -45,6 +45,30 @@ def _check_t(t):
         raise ParameterError(f"deformation parameter t must lie in (0, 1]; got {t}")
 
 
+def _least_passing(passes, start):
+    """Smallest k >= 0 with passes(k), for a predicate false below and true above it.
+
+    Steps of doubling length from `start` bracket the answer and an integer
+    bisection then closes the bracket, so a start far off (a tail bound that
+    cancels resolves only about one unit in the last place) costs
+    O(log distance) calls instead of one call per index.
+    """
+    step = 1
+    if passes(start):
+        lo, hi = start - 1, start      # passes(hi); lo fails or is -1
+        while lo >= 0 and passes(lo):
+            hi, lo, step = lo, lo - 2 * step, 2 * step
+        lo = max(lo, -1)
+    else:
+        lo, hi = start, start + 1      # lo fails
+        while not passes(hi):
+            lo, hi, step = hi, hi + 2 * step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
+
+
 @dataclass(frozen=True)
 class WeightFamily:
     """A weight family with its closed-form limits, tail bounds and moduli.
@@ -109,8 +133,9 @@ class WeightFamily:
     def k_hi_guess(self, t, tol):
         """Closed-form real solution of tail_bound_hi(t, k) = tol.
 
-        solve_k_hi starts from it; the exact integer answer lies within a few
-        units of it wherever floats still resolve single indices.
+        solve_k_hi searches from it; the exact integer answer lies within a
+        few units of it where the tail bound has a closed form, and can lie
+        far from it where the bound cancels (bilateral_arctan at small tol).
         """
         _check_t(t)
         if tol <= 0:
@@ -118,32 +143,25 @@ class WeightFamily:
         return self._k_hi_guess(t, tol)
 
     def solve_k_hi(self, t, tol):
-        """Smallest k with tail_bound_hi(t, k) <= tol (closed form, then local adjust).
+        """Smallest k >= 0 with tail_bound_hi(t, k) <= tol.
 
-        Raises WindowResourceError when the closed form is not finite or lies
-        beyond 2^53, where the +-1 adjust steps no longer move a float index.
+        Searches from the closed-form guess (see _least_passing).  Raises
+        WindowResourceError when the guess is not finite or lies beyond 2^53,
+        where float indices no longer resolve single integers.
         """
         guess = self.k_hi_guess(t, tol)
         if not guess <= 2.0**53:
             raise WindowResourceError(
                 f"window needs indices out to about {guess:.6g}, beyond 2^53",
                 needed=guess, cap=2**53)
-        k = max(0, math.ceil(guess - 2.0))
-        while self.tail_bound_hi(t, k) > tol:
-            k += 1
-        while k > 0 and self.tail_bound_hi(t, k - 1) <= tol:
-            k -= 1
-        return k
+        return _least_passing(lambda k: self.tail_bound_hi(t, k) <= tol,
+                              max(0, math.ceil(guess - 2.0)))
 
     def solve_k_lo(self, t, tol):
-        """Largest k with tail_bound_lo(t, k) <= tol."""
-        # Both bilateral families are symmetric: reuse the upper solve.
-        k = -self.solve_k_hi(t, tol)
-        while self.tail_bound_lo(t, k) > tol:
-            k -= 1
-        while k < 0 and self.tail_bound_lo(t, k + 1) <= tol:
-            k += 1
-        return k
+        """Largest k <= 0 with tail_bound_lo(t, k) <= tol."""
+        # Both bilateral families are symmetric: search from the upper solve.
+        return -_least_passing(lambda j: self.tail_bound_lo(t, -j) <= tol,
+                               self.solve_k_hi(t, tol))
 
     # -- closed-form moduli (where the family admits them) -----------------
 

@@ -27,10 +27,11 @@ def shift_matrix(fam, t, k_lo, k_hi):
 def dense_realize(elem, fam, t, k_lo, k_hi):
     K = k_hi - k_lo + 1
     A = np.zeros((K, K))
-    for side, n, coeff in elem.bands():
+    for b, coeff in elem.bands():
+        n = abs(b)
         idx = np.arange(k_lo, k_hi - n + 1)
         vals = coeff(fam.weight_sq(t, idx))
-        if side in ("f", "diag"):
+        if b >= 0:
             A[np.arange(n, K), np.arange(K - n)] += vals      # (k+n, k) = f(w(k)^2)
         else:
             A[np.arange(K - n), np.arange(n, K)] += vals      # (j, j+n) = g(w(j)^2)
@@ -74,10 +75,10 @@ def dense_Qt(elem, fam, t, k_lo, k_hi, mode):
     out = np.zeros((K, K))
     upper = np.triu(np.ones((K, K)))   # i >= k
     lower = np.tril(np.ones((K, K)))   # i <= k
-    for side, m, coeff in elem.bands():
+    for b, coeff in elem.bands():
         fv = coeff(svals)
-        if side == "f":
-            n = m - 1
+        if b > 0:
+            n = b - 1
             mu_in = np.sqrt(S[j] * S[j + n + 1])
             if mode is QtKernelMode.CORRECTED:
                 kern = np.outer(_consecutive(W, j, n), 1.0 / _consecutive(W, j, n + 1))
@@ -86,15 +87,15 @@ def dense_Qt(elem, fam, t, k_lo, k_hi, mode):
                                 1.0 / _consecutive(W, j + 1, n))
             F = (kern * upper) @ (mu_in * fv)
             rows = np.arange(n, K)
-            out[rows, rows - n] += -F[:K - n]
+            out[rows, rows - n] += -F[:rows.size]
         else:
-            n = m + 1
+            n = 1 - b
             mu_in = np.sqrt(S[j] * S[j + n - 1])
             prod = _consecutive(W, j, n)
             kern = np.outer(1.0 / prod, prod / W[j + n - 1])
             G = (kern * lower) @ (mu_in * fv)
             rows = np.arange(K - n)
-            out[rows, rows + n] += G[:K - n]
+            out[rows, rows + n] += G[:rows.size]
     return out
 
 

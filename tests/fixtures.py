@@ -1,8 +1,12 @@
 """Shared test elements: coordinates plus small polynomial band mixes."""
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 from qdbar.elements import coordinate_element, make_element
+from qdbar.weights import FamilyKind, make_family
 
 
 def f_poly_element():
@@ -71,3 +75,14 @@ def random_poly_element(rng: np.random.Generator, max_n=4):
         spec.append({"side": "g", "n": n, "kind": "poly",
                      "coeffs": list(rng.uniform(0.5, 1.5, size=3))})
     return make_element(spec)
+
+
+@st.composite
+def admissible_families(draw):
+    """A random family of any kind with admissible alpha, beta."""
+    kind = draw(st.sampled_from(list(FamilyKind)))
+    if kind is FamilyKind.UNILATERAL_EXAMPLE:
+        return make_family(kind)
+    beta = draw(st.floats(0.01, 10.0))
+    spread = beta if kind is FamilyKind.BILATERAL_RATIONAL else beta * math.pi / 2.0
+    return make_family(kind, alpha=spread * draw(st.floats(1.01, 10.0)), beta=beta)

@@ -154,13 +154,8 @@ def test_c07_classical_inverse():
         s = np.linspace(lo + 1e-3 * span, hi - 1e-3 * span, 100)
         for elem in inverse_fixtures():
             back = apply_D0(tilde_element(elem, fam, CORRECTED), fam)
-            for side, n, coeff in elem.bands():
-                if side == "f":
-                    got = back.f_bands[n](s)
-                elif side == "g":
-                    got = back.g_bands[n](s)
-                else:
-                    got = back.diagonal(s)
+            for b, coeff in elem.bands():
+                got = back.by_band[b](s)
                 worst = max(worst, float(np.max(np.abs(got - coeff(s)))))
     elapsed = time.perf_counter() - started
     report(7, "classical inverse", worst <= 1e-9 and elapsed < 5.0,

@@ -1,0 +1,161 @@
+"""Properties over random (family, t, window, element) against the dense oracles.
+
+An element has up to five bands with signed indices b in [-4, 4] (b > 0 the
+f-bands, b < 0 the g-bands, 0 the diagonal) and random polynomial or
+sqrt-polynomial coefficients; windows hold at most 60 indices.
+"""
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_oracle import dense_Dt, dense_Qt, dense_realize, densify
+from fixtures import admissible_families
+from qdbar.cli import emit_config, parse_config
+from qdbar.elements import (
+    lambda_norm_sq, make_element, quantum_norm, realize_quantum, window_from_range,
+)
+from qdbar.operators import QtKernelMode, apply_Dt, apply_Qt, tilde_element
+from qdbar.weights import Domain
+
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def band_specs(draw):
+    """A config band spec: one {side, n, kind, coeffs} entry per drawn band b."""
+    spec = []
+    for b in draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5, unique=True)):
+        side = "f" if b > 0 else "g" if b < 0 else draw(st.sampled_from(["diag", "f", "g"]))
+        spec.append({"side": side, "n": abs(b),
+                     "kind": draw(st.sampled_from(["poly", "sqrt_poly"])),
+                     "coeffs": draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))})
+    return spec
+
+
+@st.composite
+def cases(draw):
+    """(family, t, window, element spec) with a window of 1 to 60 indices."""
+    fam = draw(admissible_families())
+    t = draw(st.floats(0.05, 1.0, exclude_max=True))
+    size = draw(st.integers(1, 60))
+    k_lo = 0 if fam.domain is Domain.DISK else draw(st.integers(-30, 30))
+    return fam, t, window_from_range(fam, t, k_lo, k_lo + size - 1), draw(band_specs())
+
+
+def assert_close(got, want, rel):
+    """Entrywise |got - want| <= rel * max|want| (and <= rel on an all-zero want)."""
+    scale = max(1.0, float(np.max(np.abs(want)))) if want.size else 1.0
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases())
+def test_realize_matches_dense(case):
+    fam, t, win, spec = case
+    elem = make_element(spec)
+    got = densify(realize_quantum(elem, fam, t, win))
+    assert np.array_equal(got, dense_realize(elem, fam, t, win.k_lo, win.k_hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases(), mode=st.sampled_from(list(QtKernelMode)))
+def test_qt_matches_dense(case, mode):
+    fam, t, win, spec = case
+    elem = make_element(spec)
+    got = densify(apply_Qt(elem, fam, t, win, mode))
+    assert_close(got, dense_Qt(elem, fam, t, win.k_lo, win.k_hi, mode), 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases())
+def test_dt_matches_dense(case):
+    fam, t, win, spec = case
+    elem = make_element(spec)
+    got = densify(apply_Dt(realize_quantum(elem, fam, t, win), fam, t))
+    want = dense_Dt(dense_realize(elem, fam, t, win.k_lo, win.k_hi), fam, t, win.k_lo, win.k_hi)
+    K = win.size
+    # away from the window edges, which the dense product corrupts too
+    assert_close(got[4:K - 5, 4:K - 5], want[4:K - 5, 4:K - 5], 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases())
+def test_corrected_dt_qt_is_identity_inside(case):
+    fam, t, win, spec = case
+    elem = make_element(spec)
+    back = apply_Dt(apply_Qt(elem, fam, t, win, QtKernelMode.CORRECTED), fam, t)
+    x = densify(realize_quantum(elem, fam, t, win))
+    K = win.size
+    # the identity telescopes exactly; float64 rounding of Q_t x is amplified
+    # by w_+/S (1.5 units of that at most in 3000 random cases)
+    s_min = float(np.min(fam.s(t, np.arange(win.k_lo, win.k_hi + 1))))
+    qx = densify(apply_Qt(elem, fam, t, win, QtKernelMode.CORRECTED))
+    bound = 64 * EPS * fam.w_plus / s_min * max(1.0, float(np.max(np.abs(qx))))
+    resid = densify(back)[3:K - 5, 3:K - 5] - x[3:K - 5, 3:K - 5]
+    assert np.max(np.abs(resid), initial=0.0) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases(), chunk=st.integers(1, 16))
+def test_streamed_norm_matches_realized(case, chunk):
+    # a small streaming block, so windows straddle block boundaries
+    fam, t, win, spec = case
+    elem = make_element(spec)
+    with mock.patch("qdbar.elements.CHUNK", chunk):
+        streamed = lambda_norm_sq(elem, fam, t, win)
+    realized = quantum_norm(realize_quantum(elem, fam, t, win), fam, t) ** 2
+    assert streamed == pytest.approx(realized, rel=1e-13)
+
+
+def paper_exponents(n, mode):
+    """(p, q) with the band-n parametrix image +-s^(p/2) int c(u) u^(q/2) du.
+
+    From the paper's explicit inverse of d-bar: the printed f-side kernel
+    r^(n-1)/rho^n, the corrected one r^n/rho^(n+1), and the g-side.
+    """
+    if n < 0:
+        return n, -n - 1
+    return (n - 1, -n) if mode is QtKernelMode.PRINTED else (n, -n - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=admissible_families(), spec=band_specs(), mode=st.sampled_from(list(QtKernelMode)))
+def test_tilde_is_the_integral_with_aps_boundary(fam, spec, mode):
+    # s^(-q/2) (s^(-p/2) y)' = c, and the integral vanishes at the outer
+    # boundary for bands n >= 0 and at the inner one for n < 0
+    elem = make_element(spec)
+    y = tilde_element(elem, fam, mode)
+    lo, hi = fam.w_minus**2, fam.w_plus**2
+    s = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 50)
+    assert sorted(y.by_band) == sorted(b - 1 for b in elem.by_band)
+    for b, c in elem.bands():
+        p, q = paper_exponents(b - 1, mode)
+        integral = y.by_band[b - 1].shift_half_power(-p)
+        back = integral.derivative().shift_half_power(-q)
+        assert_close(back(s), c(s), 1e-9)
+        if b - 1 >= 0 or fam.domain is not Domain.DISK:
+            edge = hi if b - 1 >= 0 else lo
+            assert abs(integral(edge)) <= 1e-9 * max(1.0, float(np.max(np.abs(integral(s)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=admissible_families(), spec=band_specs(), t=st.floats(0.05, 0.95))
+def test_band_spec_and_config_round_trips(fam, spec, t):
+    elem = make_element(spec)
+    exported = elem.export_band_spec()
+    # the spec's (side, n) survive, the n = 0 ones as the diagonal
+    want = sorted(("diag" if e["n"] == 0 else e["side"], e["n"]) for e in spec)
+    assert sorted((e["side"], e["n"]) for e in exported) == want
+    assert make_element(exported) == elem
+    family = {"kind": fam.kind.value}
+    if fam.domain is not Domain.DISK:
+        family.update(alpha=fam.alpha, beta=fam.beta)
+    config = parse_config(json.dumps({"experiment": "norms", "family": family,
+                                      "element": exported, "t_grid": [t]}))
+    assert parse_config(emit_config(config)) == config
+    assert config.element() == elem and config.family() == fam

@@ -98,6 +98,10 @@ class TestParseConfig:
         {"experiment": "continuity", "continuity": [1]},
         {"experiment": "continuity", "continuity": {"t_lo": 0.5, "t_hi": 0.2}},
         {"experiment": "continuity", "continuity": {"steps": 1}},
+        {"truncation": {"tail_tol": 10**400}},
+        {"t_grid": [0.5, 10**400]},
+        {"t_grid": {"kind": "geometric", "head": 10**400, "ratio": 0.5, "count": 3}},
+        {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": 10**400, "count": 3}},
     ], ids=["k_cap-str", "k_cap-zero", "k_cap-negative", "k_cap-float",
             "k_cap-bool", "tail_tol-str", "coeff-nan", "coeff-inf", "N-over-cap",
             "output-str", "output-directory-int", "truncation-str", "values-str",
@@ -108,7 +112,9 @@ class TestParseConfig:
             "tail_index-str", "window-wider-than-k_cap", "disk-window-not-at-0",
             "window-beyond-2^53",
             "schur-str", "max_n-17", "iters-zero", "kinds-T3", "t_lo-str",
-            "continuity-list", "t_lo-above-t_hi", "steps-one"])
+            "continuity-list", "t_lo-above-t_hi", "steps-one",
+            "tail_tol-overflows", "t_grid-value-overflows", "head-overflows",
+            "ratio-overflows"])
     def test_rejects_invalid_values(self, tmp_path, extra):
         text = minimal_config(**extra)
         with pytest.raises(ConfigInvalidError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdbar.elements import (
-    BandMatrix, PowerSum, Transform, classical_norm,
+    BandMatrix, LambdaElement, PowerSum, Transform, classical_norm,
     coordinate_element, lambda_norm_sq, make_element, quantum_norm,
     realize_quantum, truncation_window, window_from_range,
 )
@@ -64,15 +64,14 @@ class TestPowerSum:
 class TestMakeElement:
     def test_single_f_band(self):
         e = make_element([{"side": "f", "n": 1, "fn": PowerSum.poly([1.0])}])
-        assert e.N == 1 and 1 in e.f_bands and e.diagonal is None
+        assert e.N == 1 and e.by_band.keys() == {1}
 
     def test_diag_merge(self):
         e = make_element([
             {"side": "diag", "n": 0, "kind": "poly", "coeffs": [0.0, 1.0]},
             {"side": "g", "n": 0, "kind": "poly", "coeffs": [2.0]},
         ])
-        assert e.f_bands == {} and e.g_bands == {}
-        assert e.diagonal == PowerSum.poly([2.0, 1.0])  # s + 2
+        assert e.by_band == {0: PowerSum.poly([2.0, 1.0])}  # s + 2
 
     def test_duplicate_band_rejected(self):
         with pytest.raises(ParameterError, match="duplicate"):
@@ -95,9 +94,9 @@ class TestMakeElement:
 
     def test_coordinates(self):
         one, z, zbar = map(coordinate_element, ("one", "z", "zbar"))
-        assert one.diagonal == PowerSum.poly([1.0])
-        assert z.f_bands[1] == PowerSum.sqrt_poly([1.0])
-        assert zbar.g_bands[1] == PowerSum.sqrt_poly([1.0])
+        assert one.by_band == {0: PowerSum.poly([1.0])}
+        assert z.by_band == {1: PowerSum.sqrt_poly([1.0])}
+        assert zbar.by_band == {-1: PowerSum.sqrt_poly([1.0])}
         with pytest.raises(ParameterError):
             coordinate_element("w")
 
@@ -229,8 +228,8 @@ class TestQuantumNorm:
         e = mixed_element()
         total = quantum_norm(realize_quantum(e, fam, t, win), fam, t) ** 2
         parts = 0.0
-        for side, n, coeff in e.bands():
-            single = LambdaElementSingle(side, n, coeff)
+        for b, coeff in e.bands():
+            single = LambdaElement({b: coeff})
             parts += quantum_norm(realize_quantum(single, fam, t, win), fam, t) ** 2
         assert total == pytest.approx(parts, rel=1e-13)
 
@@ -263,11 +262,6 @@ class TestQuantumNorm:
         streamed = lambda_norm_sq(e, fam, t, win)
         realized = quantum_norm(realize_quantum(e, fam, t, win), fam, t) ** 2
         assert streamed == pytest.approx(realized, rel=1e-13)
-
-
-def LambdaElementSingle(side, n, coeff):
-    entry = {"side": side, "n": n, "fn": coeff}
-    return make_element([entry])
 
 
 class TestClassicalNorm:
@@ -306,12 +300,12 @@ class TestClassicalNorm:
                 for n, (coeffs, m) in enumerate(zip(bands, min_powers), start=1)]
         e = make_element(spec)
         if on_disk and any(c.min_power_half < 0 and not c.is_zero()
-                           for _, _, c in e.bands()):
+                           for _, c in e.bands()):
             with pytest.raises(DivergentIntegralError):    # c^2 has s^(j) with j <= -1
                 classical_norm(e, fam)
             return
         want = sum(integrate(lambda s, c=c: c(s) ** 2, lo, hi, tol=1e-14)
-                   for _, _, c in e.bands())
+                   for _, c in e.bands())
         assert classical_norm(e, fam) ** 2 == pytest.approx(want, rel=1e-11, abs=1e-14)
 
 

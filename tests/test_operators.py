@@ -125,6 +125,13 @@ class TestApplyQt:
         with pytest.raises(WindowResourceError):
             apply_Qt(make_element(spec), fam, t, win)
 
+    def test_window_narrower_than_output_band(self):
+        # output band -4 has no entries on a window of 3 indices
+        fam, t = disk(), 0.5
+        elem = make_element([{"side": "g", "n": 3, "kind": "poly", "coeffs": [1.0]}])
+        out = apply_Qt(elem, fam, t, window_from_range(fam, t, 0, 2))
+        assert out.band(-4).size == 0
+
     def test_gside_mode_independent(self):
         fam, t = annulus(), 0.3
         win = window_from_range(fam, t, -300, 300)
@@ -188,27 +195,27 @@ class TestTilde:
     def test_unit_gives_zbar_classically(self):
         out = tilde_element(coordinate_element("one"), disk())
         s = np.linspace(1e-6, 1.0, 101)
-        assert np.max(np.abs(out.g_bands[1](s) - np.sqrt(s))) < 1e-12
+        assert np.max(np.abs(out.by_band[-1](s) - np.sqrt(s))) < 1e-12
 
     def test_unit_on_annulus(self):
         fam = annulus()
         out = tilde_element(coordinate_element("one"), fam)
         s = np.linspace(fam.w_minus**2, fam.w_plus**2, 101)
         target = (s - fam.w_minus**2) / np.sqrt(s)
-        assert np.max(np.abs(out.g_bands[1](s) - target)) < 1e-12
+        assert np.max(np.abs(out.by_band[-1](s) - target)) < 1e-12
 
     def test_corrected_f1_constant(self):
         out = tilde_element(f1_constant_element(), disk(), CORRECTED)
         s = np.linspace(1e-4, 1.0, 101)
-        assert np.max(np.abs(out.diagonal(s) - (-2.0 * (1.0 - np.sqrt(s))))) < 1e-12
+        assert np.max(np.abs(out.by_band[0](s) - (-2.0 * (1.0 - np.sqrt(s))))) < 1e-12
         back = apply_D0(out, disk())
-        assert np.max(np.abs(back.f_bands[1](s) - 1.0)) < 1e-10
+        assert np.max(np.abs(back.by_band[1](s) - 1.0)) < 1e-10
 
     def test_printed_f1_residual_formula(self):
         out = tilde_element(f1_constant_element(), disk(), PRINTED)
         back = apply_D0(out, disk())
         s = np.linspace(0.05, 0.95, 73)
-        assert np.max(np.abs(back.f_bands[1](s) - 0.5 * (1.0 + 1.0 / s))) < 1e-10
+        assert np.max(np.abs(back.by_band[1](s) - 0.5 * (1.0 + 1.0 / s))) < 1e-10
 
 
 class TestApplyD0:
@@ -216,13 +223,12 @@ class TestApplyD0:
         fam = disk()
         s = np.linspace(0.01, 1.0, 50)
         one_img = apply_D0(coordinate_element("zbar"), fam)
-        assert np.max(np.abs(one_img.diagonal(s) - 1.0)) < 1e-14
+        assert np.max(np.abs(one_img.by_band[0](s) - 1.0)) < 1e-14
         zero_img = apply_D0(coordinate_element("z"), fam)
-        assert zero_img.f_bands == {} and zero_img.g_bands == {} \
-            and zero_img.diagonal is None
+        assert zero_img.by_band == {}
         z_img = apply_D0(make_element(
             [{"side": "diag", "n": 0, "kind": "poly", "coeffs": [0.0, 1.0]}]), fam)
-        assert np.max(np.abs(z_img.f_bands[1](s) - np.sqrt(s))) < 1e-14
+        assert np.max(np.abs(z_img.by_band[1](s) - np.sqrt(s))) < 1e-14
 
     @pytest.mark.parametrize("fam", [disk(), annulus()])
     @pytest.mark.parametrize("elem_idx", range(6))
@@ -233,13 +239,8 @@ class TestApplyD0:
         lo, hi = fam.w_minus**2, fam.w_plus**2
         span = hi - lo
         s = np.linspace(lo + 1e-3 * span, hi - 1e-3 * span, 100)
-        for side, n, coeff in elem.bands():
-            if side == "f":
-                got = back.f_bands[n](s)
-            elif side == "g":
-                got = back.g_bands[n](s)
-            else:
-                got = back.diagonal(s)
+        for b, coeff in elem.bands():
+            got = back.by_band[b](s)
             assert np.max(np.abs(got - coeff(s))) <= 1e-9
 
     def test_missing_derivative_raises(self):
@@ -249,9 +250,8 @@ class TestApplyD0:
 
     @staticmethod
     def band_values(elem, s):
-        """(side, n) -> coefficient samples, the diagonal keyed as ("f", 0)."""
-        return {("f" if side == "diag" else side, n): coeff(s)
-                for side, n, coeff in elem.bands()}
+        """Band index b -> coefficient samples."""
+        return {b: coeff(s) for b, coeff in elem.bands()}
 
     @settings(max_examples=100, deadline=None)
     @given(bands=st.lists(

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import admissible_families
 from qdbar.errors import ParameterError, WindowResourceError
 from qdbar.weights import (
-    Domain, FamilyKind, WeightFamily, condition_report, make_family,
+    Domain, WeightFamily, condition_report, make_family,
     s_ratio_margin,
 )
 
@@ -220,22 +221,8 @@ class TestSRatioMargin:
             s_ratio_margin(disk(), 0.5, 0, (0, 100))
 
 
-@st.composite
-def admissible_families(draw):
-    """A random family of any kind with admissible alpha, beta."""
-    kind = draw(st.sampled_from(list(FamilyKind)))
-    if kind is FamilyKind.UNILATERAL_EXAMPLE:
-        return make_family(kind)
-    beta = draw(st.floats(0.01, 10.0))
-    spread = beta if kind is FamilyKind.BILATERAL_RATIONAL else beta * math.pi / 2.0
-    return make_family(kind, alpha=spread * draw(st.floats(1.01, 10.0)), beta=beta)
-
-
-# The bilateral_arctan tail bound w_plus^2 - w_t(k)^2 cancels, so its solve
-# steps about k_hi * eps * w_plus^2 / tol indices from the closed-form guess,
-# k_hi ~ beta / (t tol): t >= 1e-3 and tol >= 1e-6 keep that below ~200.
 ts = st.floats(1e-3, 1.0)
-tols = st.floats(1e-6, 0.5)
+tols = st.floats(1e-10, 0.5)
 
 
 class TestFamilyProperties:
@@ -279,6 +266,21 @@ class TestFamilyProperties:
                 fam.check_window(k_lo, k_hi)
         else:
             assert fam.check_window(k_lo, k_hi) == (k_lo, k_hi)
+
+    @pytest.mark.parametrize("tol, want", [(1e-9, 5_000_000_820_997),
+                                           (1e-10, 50_000_119_333_060)])
+    def test_arctan_solve_far_from_its_guess_is_fast(self, tol, want):
+        # the cancelling tail bound puts the answer ~8e5 (1e-9) and ~8e7
+        # (1e-10) indices from the closed-form guess
+        fam, t = annulus_arctan(), 1e-4
+        for solve in (fam.solve_k_hi, fam.solve_k_lo):
+            started = time.perf_counter()
+            solve(t, tol)
+            assert time.perf_counter() - started < 0.1
+        k_hi, k_lo = fam.solve_k_hi(t, tol), fam.solve_k_lo(t, tol)
+        assert k_hi == want     # as a walk of one index per step finds it
+        assert fam.tail_bound_hi(t, k_hi) <= tol < fam.tail_bound_hi(t, k_hi - 1)
+        assert fam.tail_bound_lo(t, k_lo) <= tol < fam.tail_bound_lo(t, k_lo + 1)
 
     def test_disk_window_at_zero(self):
         assert disk().check_window(0, 7) == (0, 7)
