@@ -20,7 +20,7 @@ from .limits import (
 )
 from .operators import (
     KernelOperatorSpec, QtKernelMode, apply_D0, apply_Dt, apply_Qt,
-    operator_norm_estimate, schur_analytic_cap, schur_young_bound,
+    operator_norm_estimate, qt_norm_sq, schur_analytic_cap, schur_young_bound,
     tilde_element,
 )
 from .quadrature import integrate

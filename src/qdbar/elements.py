@@ -13,6 +13,13 @@ export_band_spec.
 The quantum norm is the weighted trace norm  tr(S^(1/2) a S^(1/2) a*)^(1/2);
 the classical norm is L^2 with respect to d(r^2) x (dphi / 2 pi).  Both are
 implemented band-wise with deterministic summation order.
+
+Streamed band primitives walk the window with `_blocks` in fixed blocks of
+BLOCK indices, bottom-up or top-down.  Each block evaluates w^2 and S once
+for all bands, over the block and the halo of indices its band offsets read,
+so the working set is O(BLOCK x bands) whatever the window size; only the
+output bands a caller asks for are window-sized.  The block size and the
+walk order are fixed, so every sum comes out the same on every run.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .errors import (
 )
 from .weights import WeightFamily
 
-CHUNK = 1 << 22  # fixed streaming block size; fixed => deterministic sums
+BLOCK = 1 << 16  # indices per streamed block: a few bands' temporaries stay in cache
 DEFAULT_K_CAP = 20_000_000  # largest window index a run may need
 
 
@@ -84,10 +91,14 @@ class PowerSum:
             x, coeffs = np.sqrt(s), self.coeffs
         else:                           # poly and sqrt_poly: Horner in s
             x, coeffs = s, self.coeffs[::2]
-        val = np.full(s.shape, coeffs[-1], dtype=s.dtype)
-        for a in coeffs[-2::-1]:        # in place: no temporaries
-            val *= x
-            val += a
+        if coeffs.size == 1:
+            val = np.full(s.shape, coeffs[0], dtype=s.dtype)
+        else:                           # the first step allocates, the rest run in place
+            val = x * coeffs[-1]
+            val += coeffs[-2]
+            for a in coeffs[-3::-1]:
+                val *= x
+                val += a
         m = self.min_power_half
         if m:
             val *= s ** (m // 2) if m % 2 == 0 else np.sqrt(s) ** m
@@ -440,9 +451,24 @@ class _WindowArrays:
         return np.sqrt(self.w_sq)
 
 
-def band_weight(s: np.ndarray, i: int, b: int, length: int) -> np.ndarray:
+def _blocks(family: WeightFamily, t: float, k_lo: int, k_hi: int, halo: int,
+            reverse: bool = False, dtype=np.float64):
+    """Walk [k_lo, k_hi] in blocks of BLOCK indices: (i, L, arrays) per block.
+
+    The block holds the window positions [i, i + L) (indices k_lo + i on);
+    `arrays` covers them and the next `halo` indices, which band offsets
+    read.  Blocks are cut from k_lo up and visited bottom-up, or top-down
+    with `reverse`.
+    """
+    starts = range(0, k_hi - k_lo + 1, BLOCK)
+    for i in reversed(starts) if reverse else starts:
+        L = min(BLOCK, k_hi - k_lo + 1 - i)
+        yield i, L, _WindowArrays(family, t, k_lo + i, k_lo + i + L + halo, dtype)
+
+
+def band_weight(s: np.ndarray, i: int, b: int, length: int, out=None) -> np.ndarray:
     """mu_b = sqrt(S(k) S(k+b)) at the `length` positions k from i of the array s."""
-    mu = s[i:i + length] * s[i + b:i + b + length]
+    mu = np.multiply(s[i:i + length], s[i + b:i + b + length], out=out)
     return np.sqrt(mu, out=mu)
 
 
@@ -481,31 +507,26 @@ def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
                    window: IndexWindow) -> float:
     """Quantum norm squared of the element, streamed without realizing it.
 
-    Evaluates the banded double sum directly in fixed-size blocks of CHUNK
-    indices, so windows of 10^7-10^8 indices stay within memory.  Each block
-    evaluates w^2 and S once for all bands.  Matches realize + quantum_norm
-    to rounding.
+    Evaluates the banded double sum directly, block by block (`_blocks`), so
+    windows of 10^7-10^8 indices need O(BLOCK x bands) memory.  Matches
+    realize + quantum_norm to rounding.
     """
-    k_lo, k_hi = window.k_lo, window.k_hi
-    bands = [(abs(b), coeff) for b, coeff in elem.bands() if k_hi - abs(b) >= k_lo]
+    K = window.size
+    bands = [(abs(b), coeff) for b, coeff in elem.bands() if abs(b) < K]
     if not bands:
         return 0.0
     N = max(n for n, _ in bands)
     total = 0.0
-    for start in range(k_lo, k_hi + 1, CHUNK):
-        stop = min(start + CHUNK, k_hi + 1)
-        arrays = _WindowArrays(family, t, start, stop + N)
+    for i, L, arrays in _blocks(family, t, window.k_lo, window.k_hi, N):
         for n, coeff in bands:
-            L = min(stop, k_hi - n + 1) - start   # band n's columns in this block
-            if L <= 0:
+            m = min(L, K - n - i)   # band n's columns in this block
+            if m <= 0:
                 continue
-            c = coeff(arrays.w_sq[:L])
-            mu = band_weight(arrays.s, 0, n, L)
+            c = coeff(arrays.w_sq[:m])
+            mu = band_weight(arrays.s, 0, n, m)
             mu *= c
             mu *= c
             total += float(np.sum(mu))
-            del c, mu      # peak memory: one band's temporaries at a time
-        del arrays         # and one block's arrays
     return total
 
 

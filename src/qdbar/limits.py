@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (
-    DEFAULT_K_CAP, classical_norm, lambda_norm_sq, quantum_norm,
-    realize_quantum, truncation_window,
+    DEFAULT_K_CAP, classical_norm, lambda_norm_sq, realize_quantum,
+    truncation_window,
 )
 from .errors import CapabilityError, InsufficientDataError, ParameterError
 from .operators import (
-    QtKernelMode, apply_Dt, apply_Qt, schur_analytic_cap, tilde_element,
+    QtKernelMode, apply_Dt, apply_Qt, qt_norm_sq, schur_analytic_cap,
+    tilde_element,
 )
 
 # machine epsilon of np.longdouble; inverse_residual needs it below float64's
@@ -112,15 +113,14 @@ def parametrix_convergence(elem, family, t_grid, tail_tol: float,
                            mode: QtKernelMode = QtKernelMode.CORRECTED,
                            k_cap: int = DEFAULT_K_CAP) -> ConvergenceSeries:
     """Per t: quantum norm of (parametrix applied at t) minus (classical
-    parametrix image realized at t), matched kernel conventions."""
+    parametrix image realized at t), matched kernel conventions, streamed
+    by qt_norm_sq."""
     ts = _check_grid(t_grid)
     y = tilde_element(elem, family, mode)
     records = []
     for t in ts:
         win = truncation_window(family, t, tail_tol, k_cap)
-        qx = apply_Qt(elem, family, t, win, mode)
-        yt = realize_quantum(y, family, t, win)
-        primary = quantum_norm(qx - yt, family, t)
+        primary = float(np.sqrt(qt_norm_sq(elem, family, t, win, mode, minus=y)))
         records.append(SeriesRecord(
             t=t, window_lo=win.k_lo, window_hi=win.k_hi, primary_value=primary,
             reference_value=0.0, abs_error=primary,
@@ -183,7 +183,12 @@ def continuity_scan(elem, family, t_interval, steps: int, tail_tol: float,
 def uniform_bound_scan(elems, family, t_grid, tail_tol: float,
                        mode: QtKernelMode = QtKernelMode.CORRECTED,
                        k_cap: int = DEFAULT_K_CAP):
-    """Per t: max over elements of |Q_t x| / |x| next to the analytic cap."""
+    """Per t: max over elements of |Q_t x| / |x| next to the analytic cap.
+
+    The ratio is a supremum over x != 0, so an element that vanishes on the
+    window (all-zero coefficients, or bands wider than the window) is left
+    out; with none left the row reports 0.
+    """
     if not elems:
         raise ParameterError("element list must be nonempty")
     ts = _check_grid(sorted(t_grid, reverse=True))
@@ -193,10 +198,10 @@ def uniform_bound_scan(elems, family, t_grid, tail_tol: float,
         win = truncation_window(family, t, tail_tol, k_cap)
         worst = 0.0
         for elem in elems:
-            qx = apply_Qt(elem, family, t, win, mode)
-            ratio = quantum_norm(qx, family, t) / float(
-                np.sqrt(lambda_norm_sq(elem, family, t, win)))
-            worst = max(worst, ratio)
+            norm_sq = lambda_norm_sq(elem, family, t, win)
+            if norm_sq > 0.0:
+                qx_norm = float(np.sqrt(qt_norm_sq(elem, family, t, win, mode)))
+                worst = max(worst, qx_norm / float(np.sqrt(norm_sq)))
         rows.append(UniformBoundRow(t=t, max_ratio=worst, schur_cap=cap,
                                     within_cap=worst <= cap * (1 + 1e-12)))
     return rows

@@ -20,8 +20,17 @@ hold identically on trusted entries.  The g-side is the same in both modes.
 Classically the modes correspond to the kernels r^(n-1)/rho^n and
 r^n/rho^(n+1) in the explicit inverse of d-bar.
 
-apply_Qt evaluates each kernel band as one O(K) prefix or suffix scan; the
-tests check it against the literal O(K^2) double sums.
+Q_t runs on the block walker of qdbar.elements in two sweeps: the prefix
+bands bottom-up and the suffix bands top-down.  Each block shares one set of
+weight arrays and consecutive-weight products among its bands, and each band
+scans the block with the running sum of the blocks before it folded into its
+first summand.  The additions are then exactly those of one whole-window
+cumulative sum, so the result does not depend on the block size.  The
+working set is O(BLOCK x bands): apply_Qt adds only its output bands, and
+qt_norm_sq reduces each block to a number, so norms of Q_t x (less a
+realized element) never hold a window-sized array.  The tests check
+apply_Qt against the literal O(K^2) double sums and qt_norm_sq against the
+realized band matrices.
 """
 
 from __future__ import annotations
@@ -33,9 +42,10 @@ from enum import Enum
 
 import numpy as np
 
+from . import elements
 from .elements import (
-    BandMatrix, IndexWindow, LambdaElement, PowerSum, Transform, _WindowArrays,
-    band_weight,
+    BandMatrix, IndexWindow, LambdaElement, PowerSum, Transform, _blocks,
+    _WindowArrays, band_weight,
 )
 from .errors import CapabilityError, ParameterError, WindowResourceError
 from .weights import WeightFamily
@@ -128,31 +138,35 @@ def _consecutive_products(w: np.ndarray, length: int):
         prod = prod * w[n:n + length]
 
 
-def _t1_parts(arrays, K, n, mode, p_n, p_next) -> _TParts:
+def _t1_parts(arrays, K, n, mode, p_n, p_next, work=(None, None, None)) -> _TParts:
     """Suffix kernel l^2_(n+1) -> l^2_n (input band f_(n+1), output band +n).
 
     `arrays` covers the window from k_lo on; p_n and p_next are the
-    consecutive-weight products P_n and P_(n+1) over K + 1 columns.
+    consecutive-weight products P_n and P_(n+1) over K + 1 columns.  `work`
+    holds buffers of K entries for a, b and nu, or None to allocate them.
     """
     if n < 0:
         raise ParameterError("T1 band index must be >= 0")
-    nu = band_weight(arrays.s, 0, n + 1, K)
+    a_out, b_out, nu_out = work
+    nu = band_weight(arrays.s, 0, n + 1, K, out=nu_out)
     if mode is QtKernelMode.CORRECTED:
-        a = p_n[:K]                                  # w(k)...w(k+n-1)
-        b = 1.0 / p_next[:K]                         # 1/(w(i)...w(i+n))
+        a = p_n[:K]                                            # w(k)...w(k+n-1)
+        b = np.divide(1.0, p_next[:K], out=b_out)              # 1/(w(i)...w(i+n))
     else:
-        a = p_n[1:K + 1] / arrays.w[n:n + K]
-        b = 1.0 / p_n[1:K + 1]                       # 1/(w(i+1)...w(i+n))
+        a = np.divide(p_n[1:K + 1], arrays.w[n:n + K], out=a_out)
+        b = np.divide(1.0, p_n[1:K + 1], out=b_out)            # 1/(w(i+1)...w(i+n))
     return _TParts(a=a, b=b, nu=nu, direction="suffix")
 
 
-def _t2_parts(arrays, K, n, p_n) -> _TParts:
+def _t2_parts(arrays, K, n, p_n, work=(None, None, None)) -> _TParts:
     """Prefix kernel l^2_(n-1) -> l^2_n (input band g_(n-1), output band -n)."""
     if n < 1:
         raise ParameterError("T2 band index must be >= 1")
-    nu = band_weight(arrays.s, 0, n - 1, K)
+    a_out, b_out, nu_out = work
+    nu = band_weight(arrays.s, 0, n - 1, K, out=nu_out)
     prod = p_n[:K]                                   # w(j)...w(j+n-1)
-    return _TParts(a=1.0 / prod, b=prod / arrays.w[n - 1:n - 1 + K],
+    return _TParts(a=np.divide(1.0, prod, out=a_out),
+                   b=np.divide(prod, arrays.w[n - 1:n - 1 + K], out=b_out),
                    nu=nu, direction="prefix")
 
 
@@ -167,13 +181,62 @@ def _scan(vals: np.ndarray, direction: str, out=None) -> np.ndarray:
     return out
 
 
-def _t_apply(parts: _TParts, x: np.ndarray) -> np.ndarray:
-    """The kernel operator applied to coefficient samples, as one scan."""
-    vals = parts.b * parts.nu
-    vals *= x
-    out = _scan(vals, parts.direction)
-    out *= parts.a
-    return out
+def _qt_blocks(elem: LambdaElement, family: WeightFamily, t: float,
+               window: IndexWindow, mode: QtKernelMode, dtype=np.float64,
+               out: dict | None = None):
+    """Q_t x block by block: (output band, position i, values, block arrays).
+
+    Input band b feeds output band b - 1 through a prefix kernel (b <= 0),
+    swept bottom-up, or a suffix kernel (b > 0, sign flipped), swept
+    top-down.  `values` holds the output band at window positions
+    [i, i + values.size), each entry at its smaller index; it is a view of
+    `out[band]` when `out` is given, else of a buffer the next block reuses.
+    `arrays` holds w^2 and S from position i on.  Each band's scan starts
+    from the last running sum of the previous block; positions past the
+    band's end are scanned, since their summands feed the suffix sums, but
+    not yielded.
+    """
+    if elem.N > MAX_BAND:
+        raise WindowResourceError(
+            f"element band count N={elem.N} exceeds the kernel product cap {MAX_BAND}",
+            needed=elem.N, cap=MAX_BAND)
+    K = window.size
+    work = np.empty((4, min(elements.BLOCK, K)), dtype=dtype)   # a, b, nu, scan
+    for direction in ("prefix", "suffix"):
+        suffix = direction == "suffix"
+        coeffs = {abs(b - 1): c for b, c in elem.bands() if (b > 0) == suffix}
+        if not coeffs:
+            continue
+        top = max(coeffs)
+        first, last = (-1, 0) if suffix else (0, -1)   # scan entry and exit
+        carry = dict.fromkeys(coeffs, -0.0)   # x + -0.0 == x, signed zeros too
+        # P_(top+1) over L + 1 columns reads w up to block position top + L
+        for i, L, arrays in _blocks(family, t, window.k_lo, window.k_hi, top + 2,
+                                    reverse=suffix, dtype=dtype):
+            a_buf, b_buf, nu_buf, vals = work[:, :L]
+            svals = arrays.w_sq[:L]
+            products = _consecutive_products(arrays.w, L + 1)
+            p_n = next(products)
+            for n in range(top + 1):
+                p_next = next(products)
+                if n in coeffs:
+                    parts = _t1_parts(arrays, L, n, mode, p_n, p_next,
+                                      (a_buf, b_buf, nu_buf)) if suffix \
+                        else _t2_parts(arrays, L, n, p_n, (a_buf, b_buf, nu_buf))
+                    np.multiply(parts.b, parts.nu, out=vals)
+                    vals *= coeffs[n](svals)
+                    vals[first] += carry[n]
+                    _scan(vals, direction, out=vals)
+                    carry[n] = vals[last]
+                    m = min(L, K - n - i)   # band +-n's columns in this block
+                    if m > 0:
+                        b = n if suffix else -n
+                        dest = vals[:m] if out is None else out[b][i:i + m]
+                        np.multiply(vals[:m], parts.a[:m], out=dest)
+                        if suffix:
+                            np.negative(dest, out=dest)
+                        yield b, i, dest, arrays
+                p_n = p_next
 
 
 def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
@@ -185,37 +248,34 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
     for b > 0 and a prefix scan for b <= 0.  Sums run
     over the window: on the disk the prefix sums start at 0 exactly, on the
     annulus the omitted mass below k_lo is controlled by the window's lower
-    tail bound.
+    tail bound.  `_qt_blocks` writes the output bands block by block.
     """
-    if elem.N > MAX_BAND:
-        raise WindowResourceError(
-            f"element band count N={elem.N} exceeds the kernel product cap {MAX_BAND}",
-            needed=elem.N, cap=MAX_BAND)
     K = window.size
-    bands = {}
-    suffix, prefix = {}, {}     # |output band b - 1| -> input coefficient
-    for b, coeff in elem.bands():
-        (suffix if b > 0 else prefix)[abs(b - 1)] = coeff
-    if not (suffix or prefix):
-        return BandMatrix(window, bands, valid_margin=0)
-
-    top = max([*suffix, *prefix])
-    # K + top + 1 indices: P_(top+1) reads w up to position top + K
-    arrays = _WindowArrays(family, t, window.k_lo, window.k_hi + top + 2, dtype)
-    svals = arrays.w_sq[:K]
-    products = _consecutive_products(arrays.w, K + 1)
-    p_n = next(products)
-    for n in range(top + 1):
-        p_next = next(products)
-        L = max(K - n, 0)           # band +-n's length; 0 on a window of <= n
-        if n in suffix:
-            vals = _t_apply(_t1_parts(arrays, K, n, mode, p_n, p_next),
-                            suffix[n](svals))
-            bands[n] = np.negative(vals, out=vals)[:L]
-        if n in prefix:
-            bands[-n] = _t_apply(_t2_parts(arrays, K, n, p_n), prefix[n](svals))[:L]
-        p_n = p_next
+    bands = {b - 1: np.empty(max(K - abs(b - 1), 0), dtype=dtype) for b in elem.by_band}
+    for _ in _qt_blocks(elem, family, t, window, mode, dtype, out=bands):
+        pass
     return BandMatrix(window, bands, valid_margin=0)
+
+
+def qt_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
+               window: IndexWindow, mode: QtKernelMode = QtKernelMode.CORRECTED,
+               minus: LambdaElement | None = None) -> float:
+    """Squared quantum norm of Q_t x, or of Q_t x - y with y = `minus`
+    realized at t, streamed without realizing either band matrix.
+
+    `minus` needs a coefficient on every output band b - 1 of Q_t x, as
+    tilde_element gives.  Matches apply_Qt, realize_quantum, BandMatrix
+    subtraction and quantum_norm to rounding.
+    """
+    total = 0.0
+    for b, i, vals, arrays in _qt_blocks(elem, family, t, window, mode):
+        if minus is not None:
+            vals -= minus.by_band[b](arrays.w_sq[:vals.size])
+        mu = band_weight(arrays.s, 0, abs(b), vals.size)
+        mu *= vals
+        mu *= vals
+        total += float(np.sum(mu))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,17 @@
 
 Everything here works on plain K x K numpy arrays built directly from the
 defining formulas (shift matrices, explicit triangular kernels, matrix
-products), with none of the banded/scan machinery of the package.  The one
-exception is `t_apply_brute`, a literal double sum that stands in for the
-package's scan inside apply_Qt, so its band loop is checked as it runs.
+products), with none of the banded/scan machinery of the package.  Two
+oracles use the package's band layout instead: `brute_Qt`, which applies the
+parametrix as literal double sums over whole-window kernel factors, with no
+block walker, and `realized_qt_norm`, the realize-subtract-norm chain the
+streamed reducer replaces.
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 
-from qdbar import operators
-from qdbar.operators import QtKernelMode
+from qdbar.elements import BandMatrix, quantum_norm, realize_quantum
+from qdbar.operators import KernelOperatorSpec, QtKernelMode, apply_Qt
 
 
 def shift_matrix(fam, t, k_lo, k_hi):
@@ -100,7 +100,7 @@ def dense_Qt(elem, fam, t, k_lo, k_hi, mode):
 
 
 def t_apply_brute(parts, x):
-    """Literal triangular double sum; O(K^2) stand-in for operators._t_apply."""
+    """Literal triangular double sum out[k] = a(k) sum_i b(i) nu(i) x(i), O(K^2)."""
     weighted = parts.b * parts.nu * x
     K = x.size
     out = np.empty(K, dtype=weighted.dtype)
@@ -113,12 +113,27 @@ def t_apply_brute(parts, x):
     return out
 
 
-@contextmanager
-def brute_scans(monkeypatch):
-    """Inside the block, apply_Qt evaluates every kernel band with t_apply_brute."""
-    with monkeypatch.context() as m:
-        m.setattr(operators, "_t_apply", t_apply_brute)
-        yield
+def brute_Qt(elem, fam, t, win, mode):
+    """apply_Qt as whole-window double sums: input band b > 0 through the
+    suffix kernel T1 of index b - 1 (sign flipped), b <= 0 through the prefix
+    kernel T2 of index 1 - b."""
+    K = win.size
+    svals = fam.weight_sq(t, np.arange(win.k_lo, win.k_hi + 1))
+    bands = {}
+    for b, coeff in elem.bands():
+        n = abs(b - 1)
+        parts = KernelOperatorSpec("T1" if b > 0 else "T2", n, t, fam, win).parts(mode)
+        out = t_apply_brute(parts, coeff(svals))[:max(K - n, 0)]
+        bands[b - 1] = -out if b > 0 else out
+    return BandMatrix(win, bands)
+
+
+def realized_qt_norm(elem, fam, t, win, mode, minus=None, qt=apply_Qt):
+    """|Q_t x - y| through realized band matrices, y = `minus` realized at t."""
+    qx = qt(elem, fam, t, win, mode)
+    if minus is not None:
+        qx = qx - realize_quantum(minus, fam, t, win)
+    return quantum_norm(qx, fam, t)
 
 
 def dense_t_hat(spec, mode):

@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_Dt, dense_Qt, dense_realize, densify
+from dense_oracle import dense_Dt, dense_Qt, dense_realize, densify, realized_qt_norm
 from fixtures import admissible_families
 from qdbar.cli import emit_config, parse_config
 from qdbar.elements import (
     lambda_norm_sq, make_element, quantum_norm, realize_quantum, window_from_range,
 )
-from qdbar.operators import QtKernelMode, apply_Dt, apply_Qt, tilde_element
+from qdbar.operators import (
+    QtKernelMode, apply_Dt, apply_Qt, qt_norm_sq, tilde_element,
+)
 from qdbar.weights import Domain
 
 EPS = np.finfo(np.float64).eps
@@ -101,15 +103,55 @@ def test_corrected_dt_qt_is_identity_inside(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=cases(), chunk=st.integers(1, 16))
-def test_streamed_norm_matches_realized(case, chunk):
+@given(case=cases(), block=st.integers(1, 16))
+def test_streamed_norm_matches_realized(case, block):
     # a small streaming block, so windows straddle block boundaries
     fam, t, win, spec = case
     elem = make_element(spec)
-    with mock.patch("qdbar.elements.CHUNK", chunk):
+    with mock.patch("qdbar.elements.BLOCK", block):
         streamed = lambda_norm_sq(elem, fam, t, win)
     realized = quantum_norm(realize_quantum(elem, fam, t, win), fam, t) ** 2
     assert streamed == pytest.approx(realized, rel=1e-13)
+
+
+def same_values(a, b):
+    """Equal entries, signed zeros included (x87 longdouble bytes carry padding)."""
+    return a.dtype == b.dtype and np.array_equal(a, b) \
+        and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases(), block=st.integers(1, 16),
+       dtype=st.sampled_from([np.float64, np.longdouble]))
+def test_blocked_qt_equals_one_block(case, block, dtype):
+    # the carried scan repeats the additions of one whole-window cumsum, so
+    # the bands come out bitwise equal whatever the block size (windows hold
+    # at most 60 indices, one block at the default size)
+    fam, t, win, spec = case
+    elem = make_element(spec)
+    for mode in QtKernelMode:
+        whole = apply_Qt(elem, fam, t, win, mode, dtype=dtype)
+        with mock.patch("qdbar.elements.BLOCK", block):
+            blocked = apply_Qt(elem, fam, t, win, mode, dtype=dtype)
+        assert sorted(blocked.bands) == sorted(whole.bands)
+        assert all(same_values(blocked.bands[b], whole.bands[b]) for b in whole.bands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases(), block=st.integers(1, 16), mode=st.sampled_from(list(QtKernelMode)))
+def test_streamed_qt_norms_match_realized_chain(case, block, mode):
+    # |Q_t x - y_t| and |Q_t x| against apply_Qt, realize_quantum, BandMatrix
+    # subtraction and quantum_norm; only the summation order differs
+    fam, t, win, spec = case
+    elem = make_element(spec)
+    y = tilde_element(elem, fam, mode)
+    with mock.patch("qdbar.elements.BLOCK", block):
+        error_sq = qt_norm_sq(elem, fam, t, win, mode, minus=y)
+        norm_sq = qt_norm_sq(elem, fam, t, win, mode)
+    want = realized_qt_norm(elem, fam, t, win, mode, minus=y) ** 2
+    assert error_sq == pytest.approx(want, rel=1e-12, abs=1e-300)
+    want = realized_qt_norm(elem, fam, t, win, mode) ** 2
+    assert norm_sq == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def paper_exponents(n, mode):

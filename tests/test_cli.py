@@ -289,6 +289,40 @@ class TestRunExperiment:
         assert art.exit_code == EXIT_OK
         assert all(row["within_cap"] for row in art.rows)
 
+    @pytest.mark.parametrize("band, t, tail_tol", [
+        ({"side": "f", "n": 1, "kind": "poly", "coeffs": [0.0]}, 0.5, 1e-3),
+        # window [0, 2]: the band lies wholly outside it
+        ({"side": "f", "n": 5, "kind": "poly", "coeffs": [1.0]}, 0.9, 0.3)])
+    def test_uniform_bound_skips_zero_element(self, tmp_path, band, t, tail_tol):
+        cfg = parse_config(json.dumps({
+            "family": {"kind": "unilateral_example"},
+            "elements": [[band]],
+            "experiment": "uniform-bound",
+            "t_grid": [t],
+            "truncation": {"tail_tol": tail_tol}}))
+        art = run_experiment(cfg, out_dir=tmp_path)
+        assert art.exit_code == EXIT_OK
+        assert [row["max_ratio"] for row in art.rows] == [0.0]
+
+    @pytest.mark.parametrize("experiment, extra", [
+        ("parametrix", {"element": [{"side": "g", "n": 2, "kind": "poly",
+                                     "coeffs": [0.0, 1.0]},
+                                    {"side": "f", "n": 1, "kind": "sqrt_poly",
+                                     "coeffs": [1.0, 0.5]}],
+                        "qt_kernel": "printed"}),
+        ("uniform-bound", {"elements": [ZBAR, F1, [{"side": "g", "n": 3, "kind": "poly",
+                                                    "coeffs": [1.0, 1.0]}]]})])
+    def test_streamed_reports_byte_identical(self, tmp_path, experiment, extra):
+        # the streamed Q_t norms sum in a fixed block order; windows here span
+        # several blocks
+        raw = json.dumps({"family": {"kind": "unilateral_example"},
+                          "experiment": experiment, "t_grid": [0.3, 0.05, 0.01],
+                          "truncation": {"tail_tol": 1e-4}, **extra})
+        a = run_experiment(parse_config(raw), out_dir=tmp_path / "a")
+        b = run_experiment(parse_config(raw), out_dir=tmp_path / "b")
+        assert a.exit_code == b.exit_code == EXIT_OK
+        assert a.report_path.read_bytes() == b.report_path.read_bytes()
+
     def test_schur_small(self, tmp_path):
         cfg = parse_config(json.dumps({
             "family": {"kind": "unilateral_example"},

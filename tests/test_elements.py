@@ -247,9 +247,9 @@ class TestQuantumNorm:
         (disk(), 0, 2), (disk(), 0, 42), (disk(), 0, 47),
         (annulus(), -20, 25), (annulus(), -9, 41)])
     def test_streamed_across_chunk_boundaries(self, monkeypatch, fam, k_lo, k_hi):
-        # window sizes 3, 43, 48, 46, 51: none a multiple of the chunk, and the
+        # window sizes 3, 43, 48, 46, 51: none a multiple of the block, and the
         # last block of 43 holds fewer indices than the band offset 3
-        monkeypatch.setattr("qdbar.elements.CHUNK", 7)
+        monkeypatch.setattr("qdbar.elements.BLOCK", 7)
         t = 0.2
         win = window_from_range(fam, t, k_lo, k_hi)
         e = make_element([

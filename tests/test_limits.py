@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_oracle import brute_scans
+from dense_oracle import brute_Qt, realized_qt_norm
 from fixtures import g2_element, mixed_element
 from qdbar.elements import classical_norm, coordinate_element, truncation_window
 from qdbar import limits
@@ -13,7 +13,7 @@ from qdbar.limits import (
     inverse_residual, inverse_residual_bound, norm_convergence,
     parametrix_convergence, rate_fit, uniform_bound_scan,
 )
-from qdbar.operators import QtKernelMode, schur_analytic_cap
+from qdbar.operators import QtKernelMode, schur_analytic_cap, tilde_element
 from qdbar.weights import make_family
 
 CORRECTED = QtKernelMode.CORRECTED
@@ -94,14 +94,15 @@ class TestParametrixConvergence:
         errs = [r.abs_error for r in series.records]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
-    def test_fast_matches_brute_series(self, monkeypatch):
+    def test_fast_matches_brute_series(self):
         grid = [0.3, 0.15]
         fast = parametrix_convergence(g2_element(), disk(), grid, 1e-2, CORRECTED)
-        with brute_scans(monkeypatch):
-            brute = parametrix_convergence(g2_element(), disk(), grid, 1e-2,
-                                           CORRECTED)
-        for a, b in zip(fast.records, brute.records):
-            assert a.primary_value == pytest.approx(b.primary_value, rel=1e-11)
+        y = tilde_element(g2_element(), disk(), CORRECTED)
+        for rec in fast.records:
+            win = truncation_window(disk(), rec.t, 1e-2)
+            brute = realized_qt_norm(g2_element(), disk(), rec.t, win, CORRECTED,
+                                     minus=y, qt=brute_Qt)
+            assert rec.primary_value == pytest.approx(brute, rel=1e-11)
 
 
 class TestInverseResidual:
