@@ -33,7 +33,7 @@ from .errors import (
     ParameterError, QdbarError, WindowResourceError,
 )
 from .limits import (
-    continuity_scan, inverse_residual, inverse_residual_bound,
+    continuity_scan, geometric_grid, inverse_residual, inverse_residual_bound,
     norm_convergence, parametrix_convergence, uniform_bound_scan,
 )
 from .operators import (
@@ -87,7 +87,7 @@ class RunConfig:
     def t_grid(self):
         g = self.data["t_grid"]
         if g["kind"] == "geometric":
-            return [g["head"] * g["ratio"] ** j for j in range(g["count"])]
+            return geometric_grid(g["head"], g["ratio"], g["count"])
         return sorted(g["values"], reverse=True)
 
     def qt_mode(self):
@@ -103,9 +103,6 @@ class RunConfig:
 
     def to_dict(self):
         return json.loads(json.dumps(self.data))
-
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.data == other.data
 
 
 def emit_config(config: RunConfig) -> str:
@@ -169,7 +166,11 @@ def _weights_check_settings(config):
 
 
 def _schur_settings(config):
-    """(max_n, iters, kinds) of a schur run, defaults 8, 500 and both kinds."""
+    """(max_n, iters, kinds) of a schur run, defaults 8, 500 and both kinds.
+
+    The run must check at least one kernel: `kinds` is a nonempty list
+    without repeats, and T2 alone (n from 1) needs max_n >= 1.
+    """
     sc = _section(config, "schur")
     max_n, iters = sc.get("max_n", 8), sc.get("iters", 500)
     kinds = sc.get("kinds", ["T1", "T2"])
@@ -177,8 +178,13 @@ def _schur_settings(config):
         raise ParameterError(f"schur.max_n must be an integer in [0, {MAX_BAND}], got {max_n!r}")
     if not _is_positive_int(iters):
         raise ParameterError(f"schur.iters must be a positive integer, got {iters!r}")
-    if not (isinstance(kinds, list) and all(kind in ("T1", "T2") for kind in kinds)):
-        raise ParameterError(f"schur.kinds must be a list drawn from 'T1', 'T2', got {kinds!r}")
+    if not (isinstance(kinds, list) and kinds and all(k in ("T1", "T2") for k in kinds)
+            and len(set(kinds)) == len(kinds)):
+        raise ParameterError("schur.kinds must be a nonempty list of distinct kinds "
+                             f"drawn from 'T1', 'T2', got {kinds!r}")
+    if max_n == 0 and "T1" not in kinds:
+        raise ParameterError("schur.max_n 0 with kinds ['T2'] checks no kernel "
+                             "(T2 starts at n = 1)")
     return max_n, iters, kinds
 
 
@@ -408,9 +414,10 @@ def _run_schur(config, points):
         points.append({"t": t, "k_lo": win.k_lo, "k_hi": win.k_hi, "status": "ok"})
         for kind in kinds:
             for n in range(0 if kind == "T1" else 1, max_n + 1):
-                spec = KernelOperatorSpec(kind=kind, n=n, t=t, family=fam, window=win)
-                sb = schur_young_bound(spec, mode)
-                est = operator_norm_estimate(spec, mode, iters=iters)
+                spec = KernelOperatorSpec(kind=kind, n=n, t=t, family=fam, window=win,
+                                          mode=mode)
+                sb = schur_young_bound(spec)
+                est = operator_norm_estimate(spec, iters=iters)
                 ok = est.value <= sb.bound * (1 + 1e-10)
                 # the printed suffix kernel at n = 0 has no t-uniform cap
                 # (output-side denominator); skip the cap check there

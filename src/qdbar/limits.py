@@ -138,17 +138,21 @@ def inverse_residual(elem, family, t: float, tail_tol: float,
     which at small tail tolerances would otherwise swamp the true residual.
     Where np.longdouble is no wider than float64 (MSVC, macOS arm64) it
     raises CapabilityError instead of returning a residual made of rounding.
+
+    Q_t x lives only until D_t returns, and x is subtracted from D_t(Q_t x)
+    in place, so at most two window-sized band matrices are alive at once:
+    Q_t x and D_t(Q_t x) inside apply_Dt, then D_t(Q_t x) and the realized x.
     """
     if not LONGDOUBLE_EPS < np.finfo(np.float64).eps:
         raise CapabilityError(
             f"inverse residuals need an extended-precision np.longdouble; its "
             f"eps here is {LONGDOUBLE_EPS:.3g}, no smaller than float64's")
     win = truncation_window(family, t, tail_tol, k_cap)
-    qx = apply_Qt(elem, family, t, win, mode, dtype=np.longdouble)
-    back = apply_Dt(qx, family, t)
-    diff = back - realize_quantum(elem, family, t, win)
+    diff = apply_Dt(apply_Qt(elem, family, t, win, mode, dtype=np.longdouble), family, t)
+    for b, x in realize_quantum(elem, family, t, win).bands.items():
+        diff.bands[b] -= x      # both hold the element's bands with |b| < K
     sup = 0.0
-    for b in sorted(diff.bands):
+    for b in diff.bands:
         tr = diff.trusted(b)
         if tr.size:
             sup = max(sup, float(np.max(np.abs(tr))))

@@ -39,6 +39,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -70,10 +71,12 @@ def apply_Dt(a: BandMatrix, family: WeightFamily, t: float) -> BandMatrix:
 
         out_b+1[col] = (w(col) A_b[col+1] - w(col+b) A_b[col]) / mu
 
-    with mu = sqrt(S(col) S(col+b+1)).  Entries that would need neighbours
-    beyond the window are zero-padded, and the validity margin grows by one.
+    with mu = sqrt(S(col) S(col+b+1)).  An input band b >= 0 holds exactly
+    the entries its output band reads; a g-band (b < 0) reads one entry
+    beyond each window edge, taken as zero, and the validity margin grows by
+    one.  Each output band is computed in place in the array that stores it.
     """
-    win = a.window
+    win, K = a.window, a.window.size
     dtype = np.result_type(*(arr.dtype for arr in a.bands.values())) \
         if a.bands else np.float64
     # w and S over [k_lo - 1, k_hi]: column col sits at position col - k_lo + 1.
@@ -83,32 +86,20 @@ def apply_Dt(a: BandMatrix, family: WeightFamily, t: float) -> BandMatrix:
         arrays = _WindowArrays(family, t, win.k_lo - 1, win.k_hi + 1, dtype)
     w, s = arrays.w, arrays.s
     del arrays      # frees w^2, which the commutator does not use
+    scratch = np.empty(K, dtype=dtype)
     out = {}
-    for c in sorted(a.bands):
+    for c, arr in sorted(a.bands.items()):
         b = c + 1
-        lo, hi = win.k_lo + max(0, -b), win.k_hi - max(0, b)
-        if lo > hi:
+        L = K - abs(b)
+        if L <= 0:
             continue
-        i, L = lo - win.k_lo + 1, hi - lo + 1
-        in_vals = _band_at(a, c, lo, hi + 1)          # A_c[col]
-        in_next = _band_at(a, c, lo + 1, hi + 2)      # A_c[col+1]
-        num = w[i:i + L] * in_next - w[i + b - 1:i + b - 1 + L] * in_vals
-        acc = num / band_weight(s, i, b, L)
-        out[b] = out.get(b, 0.0) + acc
+        arr = np.pad(arr, 1) if c < 0 else arr   # g-side: zeros beyond both edges
+        i = max(0, -b) + 1      # position of the output band's first column
+        vals = np.multiply(w[i:i + L], arr[1:L + 1])      # w(col) A_c[col+1]
+        vals -= np.multiply(w[i + c:i + c + L], arr[:L], out=scratch[:L])
+        vals /= band_weight(s, i, b, L, out=scratch[:L])
+        out[b] = vals
     return BandMatrix(win, out, valid_margin=a.valid_margin + 1)
-
-
-def _band_at(a: BandMatrix, b: int, lo: int, stop: int) -> np.ndarray:
-    """Band b of `a` sampled at columns [lo, stop), zero-padded outside."""
-    blo, bhi = a.band_col_range(b)
-    arr = a.bands.get(b)
-    out = np.zeros(stop - lo, dtype=arr.dtype if arr is not None else np.float64)
-    if arr is None or arr.size == 0:
-        return out
-    src_lo, src_hi = max(lo, blo), min(stop - 1, bhi)
-    if src_lo <= src_hi:
-        out[src_lo - lo:src_hi - lo + 1] = arr[src_lo - blo:src_hi - blo + 1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +332,23 @@ def tilde_element(elem: LambdaElement, family: WeightFamily,
 
 @dataclass(frozen=True)
 class KernelOperatorSpec:
-    """One of the parametrix band kernels, realized over a window."""
+    """One of the parametrix band kernels under one kernel convention.
+
+    `mode` selects the convention of the T1 kernel (T2 has only one).  The
+    kernel is realized over the window on the first access to `parts` and
+    kept, so the Schur test and the power iteration of one spec share it;
+    its arrays are read, never written.
+    """
 
     kind: str              # 'T1' (suffix, l^2_(n+1)->l^2_n) or 'T2' (prefix)
     n: int
     t: float
     family: WeightFamily
     window: IndexWindow
+    mode: QtKernelMode = QtKernelMode.CORRECTED
 
-    def parts(self, mode: QtKernelMode) -> _TParts:
+    @cached_property
+    def parts(self) -> _TParts:
         if self.kind not in ("T1", "T2"):
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
         n, K = self.n, self.window.size
@@ -360,7 +359,7 @@ class KernelOperatorSpec:
             next(products)
         p_n = next(products)
         if self.kind == "T1":
-            parts = _t1_parts(arrays, K, n, mode, p_n, next(products))
+            parts = _t1_parts(arrays, K, n, self.mode, p_n, next(products))
         else:
             parts = _t2_parts(arrays, K, n, p_n)
         parts.mu = band_weight(arrays.s, 0, n, K)
@@ -388,15 +387,14 @@ def schur_analytic_cap(family: WeightFamily) -> float:
     return 2.0 * (family.w_plus - family.w_minus) * family.wconst_analytic() ** 0.25
 
 
-def schur_young_bound(spec: KernelOperatorSpec,
-                      mode: QtKernelMode = QtKernelMode.CORRECTED) -> SchurBound:
+def schur_young_bound(spec: KernelOperatorSpec) -> SchurBound:
     """Row/column Schur test on the realized kernel, weights made explicit.
 
     For T between weighted spaces the test reads
     ||T||^2 <= (sup_k sum_i nu(i)|K|) (sup_i sum_k mu(k)|K|); the separable
     kernel makes both sums single scans.
     """
-    p = spec.parts(mode)
+    p = spec.parts
     rows = p.a * _scan(p.nu * p.b, p.direction)
     other = "prefix" if p.direction == "suffix" else "suffix"
     cols = p.b * _scan(p.mu * p.a, other)
@@ -416,9 +414,8 @@ class NormEstimate:
     last_rel_change: float
 
 
-def operator_norm_estimate(spec: KernelOperatorSpec,
-                           mode: QtKernelMode = QtKernelMode.CORRECTED,
-                           iters: int = 500, rtol: float = 1e-10) -> NormEstimate:
+def operator_norm_estimate(spec: KernelOperatorSpec, iters: int = 500,
+                           rtol: float = 1e-10) -> NormEstimate:
     """Largest singular value of the kernel operator by power iteration.
 
     Iterates T*T in the correct weighted spaces (via the unitary transfer to
@@ -427,7 +424,7 @@ def operator_norm_estimate(spec: KernelOperatorSpec,
     """
     if iters < 1:
         raise ParameterError("iters must be >= 1")
-    p = spec.parts(mode)
+    p = spec.parts
     out_w = np.sqrt(p.mu) * p.a     # output-side factor, fixed across iterations
     in_w = p.b * np.sqrt(p.nu)      # input-side factor
     other = "prefix" if p.direction == "suffix" else "suffix"

@@ -462,8 +462,8 @@ def condition_report(family: WeightFamily, t_grid, window, tail_index: int) -> C
     ratio_max = 0.0
     for t in t_grid:
         s = family.s(t, np.arange(k_lo, k_hi + 2))
-        w = family.weight(t, ks)
-        wm1 = family.weight(t, ks - 1)
+        w_ext = family.weight(t, np.arange(k_lo - 1, k_hi + 1))   # w(k_lo - 1)..w(k_hi)
+        w, wm1 = w_ext[1:], w_ext[:-1]                            # w(k), w(k - 1)
         mono_ok = mono_ok and bool(np.all(s[:-1] > 0.0))
         pos_ok = pos_ok and bool(np.all(w > 0.0))
         h1.append(float(np.max(s[:-1])))

@@ -2,17 +2,18 @@
 
 Everything here works on plain K x K numpy arrays built directly from the
 defining formulas (shift matrices, explicit triangular kernels, matrix
-products), with none of the banded/scan machinery of the package.  Two
+products), with none of the banded/scan machinery of the package.  Three
 oracles use the package's band layout instead: `brute_Qt`, which applies the
 parametrix as literal double sums over whole-window kernel factors, with no
-block walker, and `realized_qt_norm`, the realize-subtract-norm chain the
-streamed reducer replaces.
+block walker; `realized_qt_norm`, the realize-subtract-norm chain the
+streamed reducer replaces; and `chained_inverse_residual`, the chain of
+whole band matrices that `inverse_residual` runs in place.
 """
 
 import numpy as np
 
-from qdbar.elements import BandMatrix, quantum_norm, realize_quantum
-from qdbar.operators import KernelOperatorSpec, QtKernelMode, apply_Qt
+from qdbar.elements import BandMatrix, quantum_norm, realize_quantum, truncation_window
+from qdbar.operators import KernelOperatorSpec, QtKernelMode, apply_Dt, apply_Qt
 
 
 def shift_matrix(fam, t, k_lo, k_hi):
@@ -122,7 +123,7 @@ def brute_Qt(elem, fam, t, win, mode):
     bands = {}
     for b, coeff in elem.bands():
         n = abs(b - 1)
-        parts = KernelOperatorSpec("T1" if b > 0 else "T2", n, t, fam, win).parts(mode)
+        parts = KernelOperatorSpec("T1" if b > 0 else "T2", n, t, fam, win, mode).parts
         out = t_apply_brute(parts, coeff(svals))[:max(K - n, 0)]
         bands[b - 1] = -out if b > 0 else out
     return BandMatrix(win, bands)
@@ -136,9 +137,27 @@ def realized_qt_norm(elem, fam, t, win, mode, minus=None, qt=apply_Qt):
     return quantum_norm(qx, fam, t)
 
 
-def dense_t_hat(spec, mode):
+def chained_inverse_residual(elem, fam, t, tail_tol, mode):
+    """Sup of |D_t(Q_t x) - x| over trusted entries, every stage a band matrix.
+
+    Q_t x stays alive through D_t, and the difference is a fourth band
+    matrix from BandMatrix subtraction.
+    """
+    win = truncation_window(fam, t, tail_tol)
+    qx = apply_Qt(elem, fam, t, win, mode, dtype=np.longdouble)
+    back = apply_Dt(qx, fam, t)
+    diff = back - realize_quantum(elem, fam, t, win)
+    sup = 0.0
+    for b in sorted(diff.bands):
+        tr = diff.trusted(b)
+        if tr.size:
+            sup = max(sup, float(np.max(np.abs(tr))))
+    return sup
+
+
+def dense_t_hat(spec):
     """Unweighted conjugate of a kernel operator as a dense matrix."""
-    p = spec.parts(mode)
+    p = spec.parts
     K = p.a.size
     mask = np.triu(np.ones((K, K))) if p.direction == "suffix" else np.tril(np.ones((K, K)))
     return np.outer(np.sqrt(p.mu) * p.a, p.b * np.sqrt(p.nu)) * mask

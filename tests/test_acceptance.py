@@ -224,10 +224,10 @@ def test_c10_uniform_boundedness():
                     if kind == "T2" and mode is PRINTED:
                         continue   # prefix kernel is mode independent
                     for n in range(n_lo, 9):
-                        spec = KernelOperatorSpec(kind=kind, n=n, t=t,
-                                                  family=fam, window=win)
-                        sb = schur_young_bound(spec, mode)
-                        est = operator_norm_estimate(spec, mode, iters=600)
+                        spec = KernelOperatorSpec(kind=kind, n=n, t=t, family=fam,
+                                                  window=win, mode=mode)
+                        sb = schur_young_bound(spec)
+                        est = operator_norm_estimate(spec, iters=600)
                         worst_excess = max(worst_excess,
                                            est.value / sb.bound if sb.bound else 0.0)
                         ok = ok and est.value <= sb.bound * (1 + 1e-10)

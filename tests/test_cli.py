@@ -94,6 +94,9 @@ class TestParseConfig:
         {"experiment": "schur", "schur": {"max_n": 17}},
         {"experiment": "schur", "schur": {"iters": 0}},
         {"experiment": "schur", "schur": {"kinds": ["T3"]}},
+        {"experiment": "schur", "schur": {"kinds": []}},
+        {"experiment": "schur", "schur": {"kinds": ["T2"], "max_n": 0}},
+        {"experiment": "schur", "schur": {"kinds": ["T1", "T2", "T1"]}},
         {"experiment": "continuity", "continuity": {"t_lo": "a"}},
         {"experiment": "continuity", "continuity": [1]},
         {"experiment": "continuity", "continuity": {"t_lo": 0.5, "t_hi": 0.2}},
@@ -111,7 +114,8 @@ class TestParseConfig:
             "alpha-overflows", "weights_check-str", "window-str",
             "tail_index-str", "window-wider-than-k_cap", "disk-window-not-at-0",
             "window-beyond-2^53",
-            "schur-str", "max_n-17", "iters-zero", "kinds-T3", "t_lo-str",
+            "schur-str", "max_n-17", "iters-zero", "kinds-T3", "kinds-empty",
+            "T2-only-max_n-zero", "kinds-repeated", "t_lo-str",
             "continuity-list", "t_lo-above-t_hi", "steps-one",
             "tail_tol-overflows", "t_grid-value-overflows", "head-overflows",
             "ratio-overflows"])

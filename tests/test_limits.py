@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dense_oracle import brute_Qt, realized_qt_norm
-from fixtures import g2_element, mixed_element
+from dense_oracle import brute_Qt, chained_inverse_residual, realized_qt_norm
+from fixtures import g2_element, inverse_fixtures, mixed_element
 from qdbar.elements import classical_norm, coordinate_element, truncation_window
 from qdbar import limits
 from qdbar.errors import (
@@ -122,6 +124,29 @@ class TestInverseResidual:
         from fixtures import f1_constant_element
         res = inverse_residual(f1_constant_element(), disk(), 0.5, 1e-4, PRINTED)
         assert res >= 0.1
+
+    @pytest.mark.parametrize("mode", [CORRECTED, PRINTED])
+    @pytest.mark.parametrize("fam", [
+        disk(), annulus(), make_family("bilateral_arctan", alpha=1.0, beta=0.5)])
+    def test_equals_chained_band_matrices(self, fam, mode):
+        for t, tol in ((0.5, 1e-4), (0.1, 1e-3)):
+            for elem in inverse_fixtures():
+                assert inverse_residual(elem, fam, t, tol, mode) == \
+                    chained_inverse_residual(elem, fam, t, tol, mode)
+
+    def test_peak_memory_below_chained_band_matrices(self):
+        args = (mixed_element(), disk(), 0.5, 1e-5, CORRECTED)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for residual in (inverse_residual, chained_inverse_residual):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                residual(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= 0.8 * peaks[1], peaks
 
     def test_refuses_longdouble_no_wider_than_double(self, monkeypatch):
         monkeypatch.setattr(limits, "LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))

@@ -293,16 +293,17 @@ class TestSchur:
             win = truncation_window(fam, t, 1e-3)
             for n in range(1, 9):
                 for kind in ("T1", "T2"):
-                    spec = KernelOperatorSpec(kind=kind, n=n, t=t, family=fam, window=win)
-                    assert schur_young_bound(spec, mode).bound <= cap * (1 + 1e-12)
+                    spec = KernelOperatorSpec(kind=kind, n=n, t=t, family=fam, window=win,
+                                              mode=mode)
+                    assert schur_young_bound(spec).bound <= cap * (1 + 1e-12)
 
     def test_power_iteration_against_dense_svd(self):
         fam, t = disk(), 0.4
         win = window_from_range(fam, t, 0, 499)
         for kind, n in (("T1", 0), ("T1", 2), ("T2", 1), ("T2", 3)):
             spec = KernelOperatorSpec(kind=kind, n=n, t=t, family=fam, window=win)
-            sv = np.linalg.svd(dense_t_hat(spec, CORRECTED), compute_uv=False)[0]
-            est = operator_norm_estimate(spec, CORRECTED, iters=2000)
+            sv = np.linalg.svd(dense_t_hat(spec), compute_uv=False)[0]
+            est = operator_norm_estimate(spec, iters=2000)
             assert est.converged
             assert abs(est.value - sv) <= 1e-8
 
