@@ -7,7 +7,7 @@ identical, so one `diff` of two runs settles a refactor:
     python3 tools/output_digest.py > b.txt        # in the other
     diff a.txt b.txt
 
-Three parts, all by default, or the ones named with `--part`:
+Three parts, printed in this order:
 
 * `workloads`: the report and the manifest of every config of the
   benchmark's workloads (`perfbench/workloads.py`, imported, never edited)
@@ -27,7 +27,6 @@ workloads take about 20 s, and the other two parts together as long.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -134,16 +133,9 @@ def inverse_lines():
                     yield f"inverse {fname} t={t} tail=0.0001 {ename} {mode.value} {res!r}"
 
 
-PARTS = {"workloads": workload_lines, "bands": band_lines, "inverse": inverse_lines}
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--part", action="append", choices=tuple(PARTS),
-                        help="part to print (repeatable); default all")
-    args = parser.parse_args(argv)
-    for part in args.part or PARTS:
-        for line in PARTS[part]():
+def main() -> int:
+    for part in (workload_lines, band_lines, inverse_lines):
+        for line in part():
             print(line, flush=True)
     return 0
 
