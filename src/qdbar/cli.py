@@ -37,7 +37,7 @@ from .limits import (
     norm_convergence, parametrix_convergence, uniform_bound_scan,
 )
 from .operators import (
-    MAX_BAND, KernelOperatorSpec, QtKernelMode, operator_norm_estimate,
+    MAX_BAND, QtKernelMode, kernel_specs, operator_norm_estimate,
     schur_young_bound,
 )
 from .weights import Domain, condition_report, make_family
@@ -391,7 +391,7 @@ def _run_inverse(config, points):
     worst_violation = False
     for t in config.t_grid():
         win = truncation_window(fam, t, config.tail_tol, config.k_cap)
-        res = inverse_residual(elem, fam, t, config.tail_tol, mode, config.k_cap)
+        res = inverse_residual(elem, fam, t, win, mode)
         bound = inverse_residual_bound(elem, fam, t, config.tail_tol, win)
         ok = res <= bound
         status = "ok" if ok else ("expected-failure" if expect_failure else "violation")
@@ -412,23 +412,20 @@ def _run_schur(config, points):
     for t in config.t_grid():
         win = truncation_window(fam, t, config.tail_tol, config.k_cap)
         points.append({"t": t, "k_lo": win.k_lo, "k_hi": win.k_hi, "status": "ok"})
-        for kind in kinds:
-            for n in range(0 if kind == "T1" else 1, max_n + 1):
-                spec = KernelOperatorSpec(kind=kind, n=n, t=t, family=fam, window=win,
-                                          mode=mode)
-                sb = schur_young_bound(spec)
-                est = operator_norm_estimate(spec, iters=iters)
-                ok = est.value <= sb.bound * (1 + 1e-10)
-                # the printed suffix kernel at n = 0 has no t-uniform cap
-                # (output-side denominator); skip the cap check there
-                if mode is QtKernelMode.CORRECTED or n >= 1:
-                    ok = ok and sb.bound <= sb.analytic_cap * (1 + 1e-12)
-                bad = bad or not ok
-                rows.append({"kind": kind, "n": n, "t": t,
-                             "schur_bound": sb.bound,
-                             "analytic_cap": sb.analytic_cap,
-                             "norm_estimate": est.value,
-                             "converged": est.converged, "ok": ok})
+        for spec in kernel_specs(kinds, max_n, t, fam, win, mode):
+            sb = schur_young_bound(spec)
+            est = operator_norm_estimate(spec, iters=iters)
+            ok = est.value <= sb.bound * (1 + 1e-10)
+            # the printed suffix kernel at n = 0 has no t-uniform cap
+            # (output-side denominator); skip the cap check there
+            if mode is QtKernelMode.CORRECTED or spec.n >= 1:
+                ok = ok and sb.bound <= sb.analytic_cap * (1 + 1e-12)
+            bad = bad or not ok
+            rows.append({"kind": spec.kind, "n": spec.n, "t": t,
+                         "schur_bound": sb.bound,
+                         "analytic_cap": sb.analytic_cap,
+                         "norm_estimate": est.value,
+                         "converged": est.converged, "ok": ok})
     columns = ["kind", "n", "t", "schur_bound", "analytic_cap",
                "norm_estimate", "converged", "ok"]
     return rows, columns, EXIT_PROPERTY if bad else EXIT_OK

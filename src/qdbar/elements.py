@@ -20,13 +20,17 @@ for all bands, over the block and the halo of indices its band offsets read,
 so the working set is O(BLOCK x bands) whatever the window size; only the
 output bands a caller asks for are window-sized.  The block size and the
 walk order are fixed, so every sum comes out the same on every run.
+
+A walk allocates its buffers once, on its first block, and refills them for
+every later block: the weights, the coefficient samples and the band
+weights mu_b of a block overwrite those of the block before.  So the arrays
+a walk yields for one block are valid only until the walk resumes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .errors import (
 )
 from .weights import WeightFamily
 
-BLOCK = 1 << 16  # indices per streamed block: a few bands' temporaries stay in cache
+BLOCK = 1 << 16  # indices per streamed block: a walk's buffers are 512 KiB each in float64
 DEFAULT_K_CAP = 20_000_000  # largest window index a run may need
 
 
@@ -83,26 +87,45 @@ class PowerSum:
 
     # -- protocol ----------------------------------------------------------
 
-    def __call__(self, s):
+    def __call__(self, s, out=None, work=None):
+        """The sum at s (float64 unless s is longdouble).
+
+        `out` receives the values and `work` holds sqrt(s) or the power
+        factor: arrays of s's shape and dtype, allocated when not given.
+        """
         s = np.asarray(s)
         if s.dtype != np.longdouble:
             s = s.astype(np.float64, copy=False)
-        if self.coeffs[1::2].any():     # both parities of j: Horner in r
-            x, coeffs = np.sqrt(s), self.coeffs
+        val = np.empty_like(s) if out is None else out
+        odd = self.coeffs[1::2].any()
+        m = self.min_power_half
+        if work is None and (odd or m):
+            work = np.empty_like(s)
+        if odd:                         # both parities of j: Horner in r
+            x, coeffs = np.sqrt(s, out=work), self.coeffs
         else:                           # poly and sqrt_poly: Horner in s
             x, coeffs = s, self.coeffs[::2]
         if coeffs.size == 1:
-            val = np.full(s.shape, coeffs[0], dtype=s.dtype)
-        else:                           # the first step allocates, the rest run in place
-            val = x * coeffs[-1]
+            val.fill(coeffs[0])
+        else:
+            np.multiply(x, coeffs[-1], out=val)
             val += coeffs[-2]
             for a in coeffs[-3::-1]:
                 val *= x
                 val += a
-        m = self.min_power_half
-        if m:
+        if m and not val.ndim:          # numpy scalars: their power is not the array loop's
             val *= s ** (m // 2) if m % 2 == 0 else np.sqrt(s) ** m
-        return val if val.ndim else val[()]   # a scalar for a scalar input
+        elif m:                         # times s^(m/2); x is no longer needed
+            if m % 2 == 0:
+                np.copyto(work, s)
+                work **= m // 2         # the same fast paths as s ** (m // 2)
+            else:
+                np.sqrt(s, out=work)
+                work **= m
+            val *= work
+        if out is not None or val.ndim:
+            return val
+        return val[()]                  # a scalar for a scalar input
 
     def derivative(self) -> "PowerSum":
         j = self.min_power_half + np.arange(self.coeffs.size)
@@ -205,12 +228,16 @@ class Transform:
         out.P, out.Q = P, Q
         return out
 
-    def __call__(self, s):
+    def __call__(self, s, out=None, work=None):
+        """P(s) + Q(s) log s in float64; `out` and `work` as in PowerSum.
+
+        Only the log term allocates when both are given.
+        """
         arr = np.asarray(s, dtype=np.float64)
-        out = self.P(arr)
+        val = self.P(arr, out=out, work=work)
         if not self.Q.is_zero():
-            out = out + self.Q(arr) * np.log(arr)
-        return float(out) if np.isscalar(s) else out
+            val += self.Q(arr) * np.log(arr)
+        return float(val) if np.isscalar(s) else val
 
     def derivative(self) -> "Transform":
         """(P + Q log s)' = P' + Q s^(-1) + Q' log s."""
@@ -250,6 +277,13 @@ def _coeff_from_spec(entry):
     if not np.isfinite(coeff.coeffs).all():
         raise ParameterError(f"coefficients must be finite, got {coeffs!r}")
     return coeff
+
+
+def _sample(coeff, s, out, work):
+    """coeff(s), written into `out` for the coefficient types that take it."""
+    if isinstance(coeff, (PowerSum, Transform)):
+        return coeff(s, out=out, work=work)
+    return coeff(s)
 
 
 def _add_coeffs(a, b):
@@ -436,19 +470,40 @@ class BandMatrix:
 class _WindowArrays:
     """w^2, S and (on first use) w = sqrt(w^2) over indices [start, stop).
 
-    Band-level primitives build one per call (per block when streaming) and
-    slice it for every band instead of re-evaluating the weights per band.
+    Band-level primitives build one per call (one per walk when streaming)
+    and slice it for every band instead of re-evaluating the weights per
+    band.  The arrays live in buffers of `capacity` entries (stop - start by
+    default) allocated once: `fill` evaluates them over another range of at
+    most `capacity` indices in the same buffers.
     """
 
     def __init__(self, family: WeightFamily, t: float, start: int, stop: int,
-                 dtype=np.float64):
-        ks = np.arange(start, stop, dtype=dtype)   # exact integers, no int64 copy
-        self.w_sq = family.weight_sq(t, ks, dtype)
-        self.s = family.s(t, ks, dtype)
+                 dtype=np.float64, capacity: int | None = None, k=None):
+        size = stop - start if capacity is None else capacity
+        self._family, self._t, self._dtype = family, t, dtype
+        self._w_sq, self._s, self._w_buf = (np.empty(size, dtype=dtype) for _ in range(3))
+        self.fill(start, stop, k)
 
-    @cached_property
+    def fill(self, start: int, stop: int, k=None) -> "_WindowArrays":
+        """Evaluate over [start, stop) in place; earlier views see the new values.
+
+        `k` holds the indices start, ..., stop - 1 (allocated when not
+        given); w's buffer is the formulas' work array until w is used.
+        """
+        n = stop - start
+        if k is None:
+            k = np.arange(start, stop, dtype=self._dtype)   # exact integers
+        fam, t, dtype, work = self._family, self._t, self._dtype, self._w_buf[:n]
+        self.w_sq = fam.weight_sq(t, k, dtype, out=self._w_sq[:n], work=work)
+        self.s = fam.s(t, k, dtype, out=self._s[:n], work=work)
+        self._w = None
+        return self
+
+    @property
     def w(self) -> np.ndarray:
-        return np.sqrt(self.w_sq)
+        if self._w is None:
+            self._w = np.sqrt(self.w_sq, out=self._w_buf[:self.w_sq.size])
+        return self._w
 
 
 def _blocks(family: WeightFamily, t: float, k_lo: int, k_hi: int, halo: int,
@@ -458,12 +513,24 @@ def _blocks(family: WeightFamily, t: float, k_lo: int, k_hi: int, halo: int,
     The block holds the window positions [i, i + L) (indices k_lo + i on);
     `arrays` covers them and the next `halo` indices, which band offsets
     read.  Blocks are cut from k_lo up and visited bottom-up, or top-down
-    with `reverse`.
+    with `reverse`.  `arrays` is one _WindowArrays for the whole walk,
+    refilled for every block.
     """
-    starts = range(0, k_hi - k_lo + 1, BLOCK)
+    size = k_hi - k_lo + 1
+    cap = min(BLOCK, size) + halo
+    k = np.arange(cap, dtype=dtype) + k_lo    # k_lo + position; each block shifts it
+    starts = range(0, size, BLOCK)
+    arrays, shift = None, 0
     for i in reversed(starts) if reverse else starts:
-        L = min(BLOCK, k_hi - k_lo + 1 - i)
-        yield i, L, _WindowArrays(family, t, k_lo + i, k_lo + i + L + halo, dtype)
+        L = min(BLOCK, size - i)
+        k += i - shift      # integers, exact below 2^53
+        shift = i
+        n = L + halo
+        if arrays is None:
+            arrays = _WindowArrays(family, t, k_lo + i, k_lo + i + n, dtype, cap, k[:n])
+        else:
+            arrays.fill(k_lo + i, k_lo + i + n, k[:n])
+        yield i, L, arrays
 
 
 def band_weight(s: np.ndarray, i: int, b: int, length: int, out=None) -> np.ndarray:
@@ -503,6 +570,42 @@ def quantum_norm(a: BandMatrix, family: WeightFamily, t: float) -> float:
     return float(np.sqrt(total))
 
 
+class _NormSums:
+    """Quantum norms squared of elements, summed over one bottom-up walk.
+
+    Each element keeps its own running total, which each block adds to band
+    by band in `bands()` order.  mu_n is computed once per block for every
+    band offset n, and serves f_n and g_n of every element.  `halo` is the
+    widest offset; `add` takes each block of a walk with at least that halo.
+    """
+
+    def __init__(self, elems, K: int):
+        self.K = K
+        self.totals = [0.0] * len(elems)
+        self.by_offset = {}   # n -> [(element, position in its bands, coefficient)]
+        for e, elem in enumerate(elems):
+            bands = [(abs(b), coeff) for b, coeff in elem.bands() if abs(b) < K]
+            for pos, (n, coeff) in enumerate(bands):
+                self.by_offset.setdefault(n, []).append((e, pos, coeff))
+        self.halo = max(self.by_offset, default=0)
+        self._mu, self._c, self._work, self._prod = np.empty((4, min(BLOCK, K)))
+
+    def add(self, i: int, L: int, arrays: _WindowArrays):
+        sums = {}
+        for n, users in self.by_offset.items():
+            m = min(L, self.K - n - i)   # band n's columns in this block
+            if m <= 0:
+                continue
+            mu = band_weight(arrays.s, 0, n, m, out=self._mu[:m])
+            for e, pos, coeff in users:
+                c = _sample(coeff, arrays.w_sq[:m], self._c[:m], self._work[:m])
+                prod = np.multiply(mu, c, out=self._prod[:m])
+                prod *= c
+                sums[e, pos] = float(np.sum(prod))
+        for e, pos in sorted(sums):     # each element's bands in bands() order
+            self.totals[e] += sums[e, pos]
+
+
 def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
                    window: IndexWindow) -> float:
     """Quantum norm squared of the element, streamed without realizing it.
@@ -511,23 +614,12 @@ def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
     windows of 10^7-10^8 indices need O(BLOCK x bands) memory.  Matches
     realize + quantum_norm to rounding.
     """
-    K = window.size
-    bands = [(abs(b), coeff) for b, coeff in elem.bands() if abs(b) < K]
-    if not bands:
+    sums = _NormSums([elem], window.size)
+    if not sums.by_offset:
         return 0.0
-    N = max(n for n, _ in bands)
-    total = 0.0
-    for i, L, arrays in _blocks(family, t, window.k_lo, window.k_hi, N):
-        for n, coeff in bands:
-            m = min(L, K - n - i)   # band n's columns in this block
-            if m <= 0:
-                continue
-            c = coeff(arrays.w_sq[:m])
-            mu = band_weight(arrays.s, 0, n, m)
-            mu *= c
-            mu *= c
-            total += float(np.sum(mu))
-    return total
+    for i, L, arrays in _blocks(family, t, window.k_lo, window.k_hi, sums.halo):
+        sums.add(i, L, arrays)
+    return sums.totals[0]
 
 
 def classical_norm(elem: LambdaElement, family: WeightFamily) -> float:

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (
-    DEFAULT_K_CAP, classical_norm, lambda_norm_sq, realize_quantum,
+    DEFAULT_K_CAP, IndexWindow, classical_norm, lambda_norm_sq, realize_quantum,
     truncation_window,
 )
 from .errors import CapabilityError, InsufficientDataError, ParameterError
 from .operators import (
-    QtKernelMode, apply_Dt, apply_Qt, qt_norm_sq, schur_analytic_cap,
-    tilde_element,
+    QtKernelMode, apply_Dt, apply_Qt, norm_pairs_sq, qt_norm_sq,
+    schur_analytic_cap, tilde_element,
 )
 
 # machine epsilon of np.longdouble; inverse_residual needs it below float64's
@@ -128,10 +128,9 @@ def parametrix_convergence(elem, family, t_grid, tail_tol: float,
     return ConvergenceSeries(kind="parametrix", tail_tol=tail_tol, records=tuple(records))
 
 
-def inverse_residual(elem, family, t: float, tail_tol: float,
-                     mode: QtKernelMode = QtKernelMode.CORRECTED,
-                     k_cap: int = DEFAULT_K_CAP) -> float:
-    """Sup over trusted interior entries of D_t(Q_t x) - x.
+def inverse_residual(elem, family, t: float, window: IndexWindow,
+                     mode: QtKernelMode = QtKernelMode.CORRECTED) -> float:
+    """Sup over trusted interior entries of D_t(Q_t x) - x on the window.
 
     Runs the parametrix/commutator pipeline in extended precision: the
     S^(-1/2) conjugation amplifies rounding by 1/S(k) near the window top,
@@ -147,9 +146,9 @@ def inverse_residual(elem, family, t: float, tail_tol: float,
         raise CapabilityError(
             f"inverse residuals need an extended-precision np.longdouble; its "
             f"eps here is {LONGDOUBLE_EPS:.3g}, no smaller than float64's")
-    win = truncation_window(family, t, tail_tol, k_cap)
-    diff = apply_Dt(apply_Qt(elem, family, t, win, mode, dtype=np.longdouble), family, t)
-    for b, x in realize_quantum(elem, family, t, win).bands.items():
+    diff = apply_Dt(apply_Qt(elem, family, t, window, mode, dtype=np.longdouble),
+                    family, t)
+    for b, x in realize_quantum(elem, family, t, window).bands.items():
         diff.bands[b] -= x      # both hold the element's bands with |b| < K
     sup = 0.0
     for b in diff.bands:
@@ -191,7 +190,8 @@ def uniform_bound_scan(elems, family, t_grid, tail_tol: float,
 
     The ratio is a supremum over x != 0, so an element that vanishes on the
     window (all-zero coefficients, or bands wider than the window) is left
-    out; with none left the row reports 0.
+    out; with none left the row reports 0.  Each t walks its window twice
+    for all elements together (norm_pairs_sq).
     """
     if not elems:
         raise ParameterError("element list must be nonempty")
@@ -201,11 +201,9 @@ def uniform_bound_scan(elems, family, t_grid, tail_tol: float,
     for t in ts:
         win = truncation_window(family, t, tail_tol, k_cap)
         worst = 0.0
-        for elem in elems:
-            norm_sq = lambda_norm_sq(elem, family, t, win)
+        for norm_sq, qx_norm_sq in norm_pairs_sq(elems, family, t, win, mode):
             if norm_sq > 0.0:
-                qx_norm = float(np.sqrt(qt_norm_sq(elem, family, t, win, mode)))
-                worst = max(worst, qx_norm / float(np.sqrt(norm_sq)))
+                worst = max(worst, float(np.sqrt(qx_norm_sq)) / float(np.sqrt(norm_sq)))
         rows.append(UniformBoundRow(t=t, max_ratio=worst, schur_cap=cap,
                                     within_cap=worst <= cap * (1 + 1e-12)))
     return rows

@@ -28,16 +28,21 @@ first summand.  The additions are then exactly those of one whole-window
 cumulative sum, so the result does not depend on the block size.  The
 working set is O(BLOCK x bands): apply_Qt adds only its output bands, and
 qt_norm_sq reduces each block to a number, so norms of Q_t x (less a
-realized element) never hold a window-sized array.  The tests check
-apply_Qt against the literal O(K^2) double sums and qt_norm_sq against the
-realized band matrices.
+realized element) never hold a window-sized array.  norm_pairs_sq runs the
+sweeps of many elements, and their quantum norms, on one walk per sweep
+direction.  The tests check apply_Qt against the literal O(K^2) double sums
+and qt_norm_sq against the realized band matrices.
+
+A walk allocates its buffers (weights, products, kernel factors, scan
+values) once and refills them block by block, so the values a walk yields
+for one block are valid only until the walk resumes.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -46,7 +51,7 @@ import numpy as np
 from . import elements
 from .elements import (
     BandMatrix, IndexWindow, LambdaElement, PowerSum, Transform, _blocks,
-    _WindowArrays, band_weight,
+    _NormSums, _sample, _WindowArrays, band_weight,
 )
 from .errors import CapabilityError, ParameterError, WindowResourceError
 from .weights import WeightFamily
@@ -117,47 +122,49 @@ class _TParts:
     mu: np.ndarray | None = None   # output-space weight mu_(m_out)(k); norm bounds only
 
 
-def _consecutive_products(w: np.ndarray, length: int):
+def _consecutive_products(w: np.ndarray, length: int, out: np.ndarray):
     """P_0, P_1, ... with P_n[j] = w[j] w[j+1] ... w[j+n-1] for j < length.
 
     Each product is the previous one times one shifted weight array, so the
-    first n products cost O(n length) in total.
+    first n products cost O(n length) in total.  They alternate between the
+    two arrays (or rows) of `out`, so only the last two yielded stay valid.
     """
-    prod = np.ones(length, dtype=w.dtype)
+    out[0].fill(1.0)
+    yield out[0]
     for n in itertools.count():
-        yield prod
-        prod = prod * w[n:n + length]
+        np.multiply(out[n % 2], w[n:n + length], out=out[(n + 1) % 2])
+        yield out[(n + 1) % 2]
 
 
-def _t1_parts(arrays, K, n, mode, p_n, p_next, work=(None, None, None)) -> _TParts:
+def _t1_parts(w, s, K, n, mode, p_n, p_next, work=(None, None, None)) -> _TParts:
     """Suffix kernel l^2_(n+1) -> l^2_n (input band f_(n+1), output band +n).
 
-    `arrays` covers the window from k_lo on; p_n and p_next are the
+    w and s cover the window from k_lo on; p_n and p_next are the
     consecutive-weight products P_n and P_(n+1) over K + 1 columns.  `work`
     holds buffers of K entries for a, b and nu, or None to allocate them.
     """
     if n < 0:
         raise ParameterError("T1 band index must be >= 0")
     a_out, b_out, nu_out = work
-    nu = band_weight(arrays.s, 0, n + 1, K, out=nu_out)
+    nu = band_weight(s, 0, n + 1, K, out=nu_out)
     if mode is QtKernelMode.CORRECTED:
         a = p_n[:K]                                            # w(k)...w(k+n-1)
         b = np.divide(1.0, p_next[:K], out=b_out)              # 1/(w(i)...w(i+n))
     else:
-        a = np.divide(p_n[1:K + 1], arrays.w[n:n + K], out=a_out)
+        a = np.divide(p_n[1:K + 1], w[n:n + K], out=a_out)
         b = np.divide(1.0, p_n[1:K + 1], out=b_out)            # 1/(w(i+1)...w(i+n))
     return _TParts(a=a, b=b, nu=nu, direction="suffix")
 
 
-def _t2_parts(arrays, K, n, p_n, work=(None, None, None)) -> _TParts:
+def _t2_parts(w, s, K, n, p_n, work=(None, None, None)) -> _TParts:
     """Prefix kernel l^2_(n-1) -> l^2_n (input band g_(n-1), output band -n)."""
     if n < 1:
         raise ParameterError("T2 band index must be >= 1")
     a_out, b_out, nu_out = work
-    nu = band_weight(arrays.s, 0, n - 1, K, out=nu_out)
+    nu = band_weight(s, 0, n - 1, K, out=nu_out)
     prod = p_n[:K]                                   # w(j)...w(j+n-1)
     return _TParts(a=np.divide(1.0, prod, out=a_out),
-                   b=np.divide(prod, arrays.w[n - 1:n - 1 + K], out=b_out),
+                   b=np.divide(prod, w[n - 1:n - 1 + K], out=b_out),
                    nu=nu, direction="prefix")
 
 
@@ -172,62 +179,121 @@ def _scan(vals: np.ndarray, direction: str, out=None) -> np.ndarray:
     return out
 
 
+def _check_band_cap(elem: LambdaElement):
+    if elem.N > MAX_BAND:
+        raise WindowResourceError(
+            f"element band count N={elem.N} exceeds the kernel product cap {MAX_BAND}",
+            needed=elem.N, cap=MAX_BAND)
+
+
+class _QtSweep:
+    """One side of Q_t x for one element, computed block by block.
+
+    Input band b feeds output band b - 1 through a prefix kernel (b <= 0),
+    swept bottom-up, or a suffix kernel (b > 0, sign flipped), swept
+    top-down.  Each band's scan starts from the last running sum of the
+    previous block (`carry`).
+    """
+
+    def __init__(self, elem: LambdaElement, suffix: bool):
+        self.suffix = suffix
+        self.coeffs = {abs(b - 1): c for b, c in elem.bands() if (b > 0) == suffix}
+        self.carry = dict.fromkeys(self.coeffs, -0.0)   # x + -0.0 == x, signed zeros too
+        self.top = max(self.coeffs, default=-1)
+
+    def block(self, i, L, K, arrays, mode, bufs, out=None):
+        """(output band, values) for each input band, on the block at position i.
+
+        `bufs` has six rows of at least L + 1 entries: the kernel factors a,
+        b and nu, the scan values and two rows of consecutive products.
+        `values` holds the output band at window positions [i, i + values.size),
+        each entry at its smaller index; it is a view of `out[band]` when
+        `out` is given, else of `bufs`.  Positions past the band's end are
+        scanned, since their summands feed the suffix sums, but not yielded.
+        """
+        direction = "suffix" if self.suffix else "prefix"
+        first, last = (-1, 0) if self.suffix else (0, -1)   # scan entry and exit
+        a_buf, b_buf, nu_buf, vals = bufs[:4, :L]
+        products = _consecutive_products(arrays.w, L + 1, bufs[4:, :L + 1])
+        p_n = next(products)
+        for n in range(self.top + 1):
+            p_next = next(products)
+            coeff = self.coeffs.get(n)
+            if coeff is not None:
+                parts = _t1_parts(arrays.w, arrays.s, L, n, mode, p_n, p_next,
+                                  (a_buf, b_buf, nu_buf)) if self.suffix \
+                    else _t2_parts(arrays.w, arrays.s, L, n, p_n, (a_buf, b_buf, nu_buf))
+                np.multiply(parts.b, parts.nu, out=vals)
+                # b and nu are spent: the coefficient samples go into their rows
+                vals *= _sample(coeff, arrays.w_sq[:L], b_buf, nu_buf)
+                vals[first] += self.carry[n]
+                _scan(vals, direction, out=vals)
+                self.carry[n] = vals[last]
+                m = min(L, K - n - i)   # band +-n's columns in this block
+                if m > 0:
+                    b = n if self.suffix else -n
+                    dest = vals[:m] if out is None else out[b][i:i + m]
+                    np.multiply(vals[:m], parts.a[:m], out=dest)
+                    if self.suffix:
+                        np.negative(dest, out=dest)
+                    yield b, dest
+            p_n = p_next
+
+
+def _sweep_buffers(K: int, dtype=np.float64) -> np.ndarray:
+    """The rows _QtSweep.block works in, for walks of a K-index window."""
+    return np.empty((6, min(elements.BLOCK, K) + 1), dtype=dtype)
+
+
+def _sweep_walk(sweeps, family, t, window, mode, reverse, bufs, halo=0,
+                dtype=np.float64, out=None):
+    """One walk of the window for all `sweeps` (of one direction).
+
+    Yields (i, L, arrays, outputs) per block, where `outputs` yields
+    (sweep number, output band, values) and must be exhausted before the
+    walk resumes.  `halo` widens the block arrays for other readers.
+    """
+    top = max((sweep.top for sweep in sweeps), default=-1)
+    # P_(top+1) over L + 1 columns reads w up to block position top + L
+    for i, L, arrays in _blocks(family, t, window.k_lo, window.k_hi,
+                                max(halo, top + 2), reverse, dtype):
+        yield i, L, arrays, (
+            (j, b, vals) for j, sweep in enumerate(sweeps)
+            for b, vals in sweep.block(i, L, window.size, arrays, mode, bufs, out))
+
+
 def _qt_blocks(elem: LambdaElement, family: WeightFamily, t: float,
                window: IndexWindow, mode: QtKernelMode, dtype=np.float64,
                out: dict | None = None):
     """Q_t x block by block: (output band, position i, values, block arrays).
 
-    Input band b feeds output band b - 1 through a prefix kernel (b <= 0),
-    swept bottom-up, or a suffix kernel (b > 0, sign flipped), swept
-    top-down.  `values` holds the output band at window positions
-    [i, i + values.size), each entry at its smaller index; it is a view of
-    `out[band]` when `out` is given, else of a buffer the next block reuses.
-    `arrays` holds w^2 and S from position i on.  Each band's scan starts
-    from the last running sum of the previous block; positions past the
-    band's end are scanned, since their summands feed the suffix sums, but
-    not yielded.
+    The prefix sweep runs bottom-up, then the suffix sweep top-down (see
+    _QtSweep.block for `values`).  `arrays` holds w^2 and S from position i
+    on.
     """
-    if elem.N > MAX_BAND:
-        raise WindowResourceError(
-            f"element band count N={elem.N} exceeds the kernel product cap {MAX_BAND}",
-            needed=elem.N, cap=MAX_BAND)
-    K = window.size
-    work = np.empty((4, min(elements.BLOCK, K)), dtype=dtype)   # a, b, nu, scan
-    for direction in ("prefix", "suffix"):
-        suffix = direction == "suffix"
-        coeffs = {abs(b - 1): c for b, c in elem.bands() if (b > 0) == suffix}
-        if not coeffs:
+    _check_band_cap(elem)
+    bufs = _sweep_buffers(window.size, dtype)
+    for suffix in (False, True):
+        sweep = _QtSweep(elem, suffix)
+        if not sweep.coeffs:
             continue
-        top = max(coeffs)
-        first, last = (-1, 0) if suffix else (0, -1)   # scan entry and exit
-        carry = dict.fromkeys(coeffs, -0.0)   # x + -0.0 == x, signed zeros too
-        # P_(top+1) over L + 1 columns reads w up to block position top + L
-        for i, L, arrays in _blocks(family, t, window.k_lo, window.k_hi, top + 2,
-                                    reverse=suffix, dtype=dtype):
-            a_buf, b_buf, nu_buf, vals = work[:, :L]
-            svals = arrays.w_sq[:L]
-            products = _consecutive_products(arrays.w, L + 1)
-            p_n = next(products)
-            for n in range(top + 1):
-                p_next = next(products)
-                if n in coeffs:
-                    parts = _t1_parts(arrays, L, n, mode, p_n, p_next,
-                                      (a_buf, b_buf, nu_buf)) if suffix \
-                        else _t2_parts(arrays, L, n, p_n, (a_buf, b_buf, nu_buf))
-                    np.multiply(parts.b, parts.nu, out=vals)
-                    vals *= coeffs[n](svals)
-                    vals[first] += carry[n]
-                    _scan(vals, direction, out=vals)
-                    carry[n] = vals[last]
-                    m = min(L, K - n - i)   # band +-n's columns in this block
-                    if m > 0:
-                        b = n if suffix else -n
-                        dest = vals[:m] if out is None else out[b][i:i + m]
-                        np.multiply(vals[:m], parts.a[:m], out=dest)
-                        if suffix:
-                            np.negative(dest, out=dest)
-                        yield b, i, dest, arrays
-                p_n = p_next
+        for i, _, arrays, outputs in _sweep_walk([sweep], family, t, window, mode,
+                                                 suffix, bufs, dtype=dtype, out=out):
+            for _, b, vals in outputs:
+                yield b, i, vals, arrays
+
+
+def _band_norm_sq(b, vals, arrays, minus, buf, work) -> float:
+    """sum mu_|b| |vals - y_b|^2 over one block of output band b, y = `minus`
+    (or 0) realized there; vals is overwritten, and `work` is read only
+    with `minus`."""
+    m = vals.size
+    if minus is not None:
+        vals -= _sample(minus.by_band[b], arrays.w_sq[:m], buf[:m], work[:m])
+    mu = band_weight(arrays.s, 0, abs(b), m, out=buf[:m])
+    mu *= vals
+    mu *= vals
+    return float(np.sum(mu))
 
 
 def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
@@ -258,15 +324,50 @@ def qt_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
     tilde_element gives.  Matches apply_Qt, realize_quantum, BandMatrix
     subtraction and quantum_norm to rounding.
     """
+    buf, work = np.empty((2, min(elements.BLOCK, window.size)))
     total = 0.0
-    for b, i, vals, arrays in _qt_blocks(elem, family, t, window, mode):
-        if minus is not None:
-            vals -= minus.by_band[b](arrays.w_sq[:vals.size])
-        mu = band_weight(arrays.s, 0, abs(b), vals.size)
-        mu *= vals
-        mu *= vals
-        total += float(np.sum(mu))
+    for b, _, vals, arrays in _qt_blocks(elem, family, t, window, mode):
+        total += _band_norm_sq(b, vals, arrays, minus, buf, work)
     return total
+
+
+def norm_pairs_sq(elems, family: WeightFamily, t: float, window: IndexWindow,
+                  mode: QtKernelMode = QtKernelMode.CORRECTED):
+    """[(lambda_norm_sq(x), qt_norm_sq(x))] for the elements x, in two walks.
+
+    One bottom-up walk sums every element's quantum norm and prefix sweep,
+    one top-down walk every element's suffix sweep.  Each element keeps its
+    own running totals, added to in the order of the two functions, so both
+    numbers are their bits.  An element beyond the band cap raises only
+    when its norm is positive; otherwise its Q_t norm is reported as 0.0.
+    """
+    K = window.size
+    norms = _NormSums(elems, K)
+    qt = [0.0] * len(elems)
+    bufs = _sweep_buffers(K)
+    buf = np.empty(min(elements.BLOCK, K))
+
+    def sweeps(suffix):
+        found = [(j, _QtSweep(elem, suffix)) for j, elem in enumerate(elems)
+                 if elem.N <= MAX_BAND]
+        return [(j, sweep) for j, sweep in found if sweep.coeffs]
+
+    def walk(owned, suffix, halo=0, each_block=None):
+        for i, L, arrays, outputs in _sweep_walk([sweep for _, sweep in owned], family,
+                                                 t, window, mode, suffix, bufs, halo):
+            if each_block is not None:
+                each_block(i, L, arrays)
+            for n, b, vals in outputs:
+                qt[owned[n][0]] += _band_norm_sq(b, vals, arrays, None, buf, None)
+
+    walk(sweeps(False), False, norms.halo, norms.add)
+    for elem, norm_sq in zip(elems, norms.totals):
+        if norm_sq > 0.0:       # the elements whose ratio is wanted
+            _check_band_cap(elem)
+    down = sweeps(True)
+    if down:
+        walk(down, True)
+    return list(zip(norms.totals, qt))
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +447,45 @@ class KernelOperatorSpec:
     family: WeightFamily
     window: IndexWindow
     mode: QtKernelMode = QtKernelMode.CORRECTED
+    # (w, S) from k_lo to at least k_hi + n + 2, shared with the other specs
+    # of the same (family, t, window); evaluated for this spec when None
+    weights: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def parts(self) -> _TParts:
         if self.kind not in ("T1", "T2"):
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
         n, K = self.n, self.window.size
-        arrays = _WindowArrays(self.family, self.t, self.window.k_lo,
-                               self.window.k_hi + max(n, 0) + 2)
-        products = _consecutive_products(arrays.w, K + 1)
+        w, s = self.weights or _kernel_weights(self.family, self.t, self.window, max(n, 0))
+        # two arrays, not rows of one: the kernel factor `a` may be a view of P_n
+        products = _consecutive_products(w, K + 1, (np.empty(K + 1), np.empty(K + 1)))
         for _ in range(n):
             next(products)
         p_n = next(products)
         if self.kind == "T1":
-            parts = _t1_parts(arrays, K, n, self.mode, p_n, next(products))
+            parts = _t1_parts(w, s, K, n, self.mode, p_n, next(products))
         else:
-            parts = _t2_parts(arrays, K, n, p_n)
-        parts.mu = band_weight(arrays.s, 0, n, K)
+            parts = _t2_parts(w, s, K, n, p_n)
+        parts.mu = band_weight(s, 0, n, K)
         return parts
+
+
+def _kernel_weights(family: WeightFamily, t: float, window: IndexWindow, n: int):
+    """(w, S) over [k_lo, k_hi + n + 2), what the kernels up to index n read."""
+    arrays = _WindowArrays(family, t, window.k_lo, window.k_hi + n + 2)
+    return arrays.w, arrays.s       # w^2 is freed with `arrays`
+
+
+def kernel_specs(kinds, max_n: int, t: float, family: WeightFamily,
+                 window: IndexWindow, mode: QtKernelMode = QtKernelMode.CORRECTED):
+    """The specs of each kind, n from 0 (T1) or 1 (T2) to max_n, in that order.
+
+    All of them share one evaluation of w and S over the window.
+    """
+    weights = _kernel_weights(family, t, window, max_n)
+    for kind in kinds:
+        for n in range(0 if kind == "T1" else 1, max_n + 1):
+            yield KernelOperatorSpec(kind, n, t, family, window, mode, weights)
 
 
 @dataclass(frozen=True)

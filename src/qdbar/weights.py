@@ -45,6 +45,14 @@ def _check_t(t):
         raise ParameterError(f"deformation parameter t must lie in (0, 1]; got {t}")
 
 
+def _zero_below_disk(k, out, work):
+    """`out` with 0 where k < 0; the mask lives in the bytes of `work`."""
+    mask = work.reshape(-1).view(np.bool_)[:work.size].reshape(work.shape)
+    np.less(k, 0.0, out=mask)
+    np.copyto(out, 0.0, where=mask)
+    return out
+
+
 def _least_passing(passes, start):
     """Smallest k >= 0 with passes(k), for a predicate false below and true above it.
 
@@ -75,7 +83,10 @@ class WeightFamily:
 
     Each built-in family is a subclass that sets the class attribute `kind`
     and owns its formulas: the `_weight_sq`, `_s` and `_k_hi_guess` hooks,
-    the tail bounds, the moduli and `wconst_analytic`.  A bilateral family
+    the tail bounds, the moduli and `wconst_analytic`.  `_weight_sq(t, k,
+    out, work)` and `_s` write their values into `out`, with `work` as the
+    one intermediate, so a caller that walks many index blocks reuses both.
+    A bilateral family
     has w_t(k)^2 = alpha + beta g(tk) with an odd profile g and sets
     `_spread` = beta g(+inf), so w_plus^2, w_minus^2 = alpha +- spread; the
     base `_from_params` checks the parameters with it.  The base methods
@@ -95,23 +106,41 @@ class WeightFamily:
     # a subclass would bypass it and its weights.* metrics would read 0.
     # tests/test_weights.py fails on such an override.
 
-    def weight_sq(self, t, k, dtype=np.float64):
+    def weight_sq(self, t, k, dtype=np.float64, *, out=None, work=None):
         """w_t(k)^2, vectorized over k; disk indices k < 0 give 0.
 
         `dtype` selects the working precision (np.longdouble is used by the
         inverse-residual pipeline, where rounding is amplified by 1/S).
+        `out` receives the values and `work` holds the formula's one
+        intermediate: arrays of k's shape and `dtype`, distinct from k and
+        from each other, allocated when not given.  Either way the values
+        are the same bits.
         """
         _check_t(t)
-        return self._weight_sq(t, np.asarray(k, dtype=dtype))
+        return self._evaluate(self._weight_sq, t, k, dtype, out, work)
 
     def weight(self, t, k):
         """w_t(k), vectorized over k."""
         return np.sqrt(self.weight_sq(t, k))
 
-    def s(self, t, k, dtype=np.float64):
-        """S_t(k) = w_t(k)^2 - w_t(k-1)^2 via cancellation-free closed forms."""
+    def s(self, t, k, dtype=np.float64, *, out=None, work=None):
+        """S_t(k) = w_t(k)^2 - w_t(k-1)^2 via cancellation-free closed forms.
+
+        `out` and `work` as in weight_sq.
+        """
         _check_t(t)
-        return self._s(t, np.asarray(k, dtype=dtype))
+        return self._evaluate(self._s, t, k, dtype, out, work)
+
+    @staticmethod
+    def _evaluate(hook, t, k, dtype, out, work):
+        """hook(t, k, out, work), which writes the values into `out`.
+
+        A scalar k gives a scalar when `out` is allocated here.
+        """
+        k = np.asarray(k, dtype=dtype)
+        val = hook(t, k, np.empty_like(k) if out is None else out,
+                   np.empty_like(k) if work is None else work)
+        return val if out is not None or val.ndim else val[()]
 
     def check_window(self, k_lo, k_hi):
         """(k_lo, k_hi) as ints; ParameterError unless a nonempty window of the index set."""
@@ -218,13 +247,24 @@ class UnilateralExample(WeightFamily):
             raise ParameterError("unilateral_example takes no alpha/beta parameters")
         return cls(alpha=0.0, beta=0.0, w_plus=1.0, w_minus=0.0)
 
-    def _weight_sq(self, t, k):
-        m = (k + 1.0) * t
-        return np.where(k < 0, 0.0, m / (1.0 + m))
+    def _weight_sq(self, t, k, out, work):
+        # m / (1 + m) with m = (k + 1) t
+        np.add(k, 1.0, out=out)
+        out *= t
+        np.add(out, 1.0, out=work)
+        out /= work
+        return _zero_below_disk(k, out, work)
 
-    def _s(self, t, k):
-        val = t / ((1.0 + k * t) * (1.0 + (k + 1.0) * t))
-        return np.where(k < 0, 0.0, val)
+    def _s(self, t, k, out, work):
+        # t / ((1 + k t) (1 + (k + 1) t))
+        np.multiply(k, t, out=out)
+        out += 1.0
+        np.add(k, 1.0, out=work)
+        work *= t
+        work += 1.0
+        out *= work
+        np.divide(t, out, out=out)
+        return _zero_below_disk(k, out, work)
 
     def check_window(self, k_lo, k_hi):
         k_lo, k_hi = super().check_window(k_lo, k_hi)
@@ -283,11 +323,28 @@ class BilateralRational(WeightFamily):
     def _spread(beta):
         return beta
 
-    def _weight_sq(self, t, k):
-        return self.alpha + self.beta * t * k / (1.0 + t * np.abs(k))
+    def _weight_sq(self, t, k, out, work):
+        # alpha + (beta t) k / (1 + t |k|)
+        np.abs(k, out=work)
+        work *= t
+        work += 1.0
+        np.multiply(k, self.beta * t, out=out)
+        out /= work
+        out += self.alpha
+        return out
 
-    def _s(self, t, k):
-        return self.beta * t / ((1.0 + t * np.abs(k)) * (1.0 + t * np.abs(k - 1.0)))
+    def _s(self, t, k, out, work):
+        # (beta t) / ((1 + t |k|) (1 + t |k - 1|))
+        np.abs(k, out=out)
+        out *= t
+        out += 1.0
+        np.subtract(k, 1.0, out=work)
+        np.abs(work, out=work)
+        work *= t
+        work += 1.0
+        out *= work
+        np.divide(self.beta * t, out, out=out)
+        return out
 
     def tail_bound_hi(self, t, k_hi):
         return self._tail(t, k_hi) if k_hi >= 0 else super().tail_bound_hi(t, k_hi)
@@ -326,12 +383,25 @@ class BilateralArctan(WeightFamily):
     def _spread(beta):
         return beta * math.pi / 2.0
 
-    def _weight_sq(self, t, k):
-        return self.alpha + self.beta * np.arctan(t * k)
+    def _weight_sq(self, t, k, out, work):
+        # alpha + beta arctan(t k)
+        np.multiply(k, t, out=out)
+        np.arctan(out, out=out)
+        out *= self.beta
+        out += self.alpha
+        return out
 
-    def _s(self, t, k):
+    def _s(self, t, k, out, work):
         # arctan(a) - arctan(b) = arctan((a-b)/(1+ab)); here a*b >= 0.
-        return self.beta * np.arctan(t / (1.0 + t * t * k * (k - 1.0)))
+        # beta arctan(t / (1 + (t t) k (k - 1)))
+        np.multiply(k, t * t, out=out)
+        np.subtract(k, 1.0, out=work)
+        out *= work
+        out += 1.0
+        np.divide(t, out, out=out)
+        np.arctan(out, out=out)
+        out *= self.beta
+        return out
 
     def _k_hi_guess(self, t, tol):
         x = tol / self.beta

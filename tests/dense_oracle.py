@@ -2,18 +2,26 @@
 
 Everything here works on plain K x K numpy arrays built directly from the
 defining formulas (shift matrices, explicit triangular kernels, matrix
-products), with none of the banded/scan machinery of the package.  Three
+products), with none of the banded/scan machinery of the package.  Four
 oracles use the package's band layout instead: `brute_Qt`, which applies the
 parametrix as literal double sums over whole-window kernel factors, with no
 block walker; `realized_qt_norm`, the realize-subtract-norm chain the
-streamed reducer replaces; and `chained_inverse_residual`, the chain of
-whole band matrices that `inverse_residual` runs in place.
+streamed reducer replaces; `chained_inverse_residual`, the chain of whole
+band matrices that `inverse_residual` runs in place; and
+`composed_uniform_bound_scan`, the per-element norms that
+`uniform_bound_scan` computes on shared walks.
 """
 
 import numpy as np
 
-from qdbar.elements import BandMatrix, quantum_norm, realize_quantum, truncation_window
-from qdbar.operators import KernelOperatorSpec, QtKernelMode, apply_Dt, apply_Qt
+from qdbar.elements import (
+    BandMatrix, lambda_norm_sq, quantum_norm, realize_quantum, truncation_window,
+)
+from qdbar.limits import UniformBoundRow
+from qdbar.operators import (
+    KernelOperatorSpec, QtKernelMode, apply_Dt, apply_Qt, qt_norm_sq,
+    schur_analytic_cap,
+)
 
 
 def shift_matrix(fam, t, k_lo, k_hi):
@@ -137,13 +145,12 @@ def realized_qt_norm(elem, fam, t, win, mode, minus=None, qt=apply_Qt):
     return quantum_norm(qx, fam, t)
 
 
-def chained_inverse_residual(elem, fam, t, tail_tol, mode):
+def chained_inverse_residual(elem, fam, t, win, mode):
     """Sup of |D_t(Q_t x) - x| over trusted entries, every stage a band matrix.
 
     Q_t x stays alive through D_t, and the difference is a fourth band
     matrix from BandMatrix subtraction.
     """
-    win = truncation_window(fam, t, tail_tol)
     qx = apply_Qt(elem, fam, t, win, mode, dtype=np.longdouble)
     back = apply_Dt(qx, fam, t)
     diff = back - realize_quantum(elem, fam, t, win)
@@ -153,6 +160,24 @@ def chained_inverse_residual(elem, fam, t, tail_tol, mode):
         if tr.size:
             sup = max(sup, float(np.max(np.abs(tr))))
     return sup
+
+
+def composed_uniform_bound_scan(elems, fam, t_grid, tail_tol, mode):
+    """uniform_bound_scan element by element: lambda_norm_sq, then qt_norm_sq
+    (its own two walks) where the norm is positive."""
+    cap = schur_analytic_cap(fam)
+    rows = []
+    for t in sorted(t_grid, reverse=True):
+        win = truncation_window(fam, t, tail_tol)
+        worst = 0.0
+        for elem in elems:
+            norm_sq = lambda_norm_sq(elem, fam, t, win)
+            if norm_sq > 0.0:
+                qx_norm = float(np.sqrt(qt_norm_sq(elem, fam, t, win, mode)))
+                worst = max(worst, qx_norm / float(np.sqrt(norm_sq)))
+        rows.append(UniformBoundRow(t=t, max_ratio=worst, schur_cap=cap,
+                                    within_cap=worst <= cap * (1 + 1e-12)))
+    return rows
 
 
 def dense_t_hat(spec):

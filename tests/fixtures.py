@@ -1,12 +1,13 @@
 """Shared test elements: coordinates plus small polynomial band mixes."""
 
 import math
+from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
 
 from qdbar.elements import coordinate_element, make_element
-from qdbar.weights import FamilyKind, make_family
+from qdbar.weights import FamilyKind, WeightFamily, make_family
 
 
 def f_poly_element():
@@ -86,3 +87,20 @@ def admissible_families(draw):
     beta = draw(st.floats(0.01, 10.0))
     spread = beta if kind is FamilyKind.BILATERAL_RATIONAL else beta * math.pi / 2.0
     return make_family(kind, alpha=spread * draw(st.floats(1.01, 10.0)), beta=beta)
+
+
+def count_weight_evaluations(monkeypatch):
+    """Counter of ("weight_sq" or "s", t): array evaluations from now on.
+
+    Wraps the two traced entry points on WeightFamily for the rest of the
+    test; scalar calls (tail bounds) are not counted.
+    """
+    calls = Counter()
+    for name in ("weight_sq", "s"):
+        def counted(self, t, k, *args, _name=name, _orig=getattr(WeightFamily, name),
+                    **kwargs):
+            if np.ndim(k):
+                calls[_name, t] += 1
+            return _orig(self, t, k, *args, **kwargs)
+        monkeypatch.setattr(WeightFamily, name, counted)
+    return calls

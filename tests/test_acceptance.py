@@ -133,11 +133,13 @@ def test_c06_inverse_property():
     tail = 1e-6
     worst_ratio = 0.0   # residual / bound, should stay <= 1
     for t in (0.5, 0.1):
+        win = truncation_window(fam, t, tail)
         for elem in inverse_fixtures():
-            res = inverse_residual(elem, fam, t, tail, CORRECTED)
+            res = inverse_residual(elem, fam, t, win, CORRECTED)
             bound = 10.0 * tail / float(fam.weight(t, max(elem.N, 0)))
             worst_ratio = max(worst_ratio, res / bound)
-    printed_res = inverse_residual(f1_constant_element(), fam, 0.5, tail, PRINTED)
+    printed_res = inverse_residual(f1_constant_element(), fam, 0.5,
+                                   truncation_window(fam, 0.5, tail), PRINTED)
     ok = worst_ratio <= 1.0 and printed_res >= 0.1
     report(6, "inverse property", ok,
            f"corrected worst residual/bound {worst_ratio:.3f}, "

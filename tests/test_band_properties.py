@@ -2,7 +2,9 @@
 
 An element has up to five bands with signed indices b in [-4, 4] (b > 0 the
 f-bands, b < 0 the g-bands, 0 the diagonal) and random polynomial or
-sqrt-polynomial coefficients; windows hold at most 60 indices.
+sqrt-polynomial coefficients; windows hold at most 60 indices.  The weight
+formulas written in place are checked against fresh evaluations and the
+whole-array expressions they replace.
 """
 
 import json
@@ -20,9 +22,9 @@ from qdbar.elements import (
     lambda_norm_sq, make_element, quantum_norm, realize_quantum, window_from_range,
 )
 from qdbar.operators import (
-    QtKernelMode, apply_Dt, apply_Qt, qt_norm_sq, tilde_element,
+    QtKernelMode, apply_Dt, apply_Qt, norm_pairs_sq, qt_norm_sq, tilde_element,
 )
-from qdbar.weights import Domain
+from qdbar.weights import Domain, FamilyKind
 
 EPS = np.finfo(np.float64).eps
 
@@ -152,6 +154,67 @@ def test_streamed_qt_norms_match_realized_chain(case, block, mode):
     assert error_sq == pytest.approx(want, rel=1e-12, abs=1e-300)
     want = realized_qt_norm(elem, fam, t, win, mode) ** 2
     assert norm_sq == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases(), more=st.lists(band_specs(), max_size=3), block=st.integers(1, 16),
+       mode=st.sampled_from(list(QtKernelMode)))
+def test_shared_walks_equal_one_element_walks(case, more, block, mode):
+    # each element keeps its own running sums in the one-element order
+    fam, t, win, spec = case
+    elems = [make_element(s) for s in (spec, *more)]
+    with mock.patch("qdbar.elements.BLOCK", block):
+        pairs = norm_pairs_sq(elems, fam, t, win, mode)
+        want = [(lambda_norm_sq(e, fam, t, win), qt_norm_sq(e, fam, t, win, mode))
+                for e in elems]
+    assert pairs == want
+
+
+# the weight formulas as whole-array expressions, before they ran in place
+EXPRESSIONS = {
+    (FamilyKind.UNILATERAL_EXAMPLE, "weight_sq"):
+        lambda f, t, k: np.where(k < 0, 0.0, (k + 1.0) * t / (1.0 + (k + 1.0) * t)),
+    (FamilyKind.UNILATERAL_EXAMPLE, "s"):
+        lambda f, t, k: np.where(k < 0, 0.0, t / ((1.0 + k * t) * (1.0 + (k + 1.0) * t))),
+    (FamilyKind.BILATERAL_RATIONAL, "weight_sq"):
+        lambda f, t, k: f.alpha + f.beta * t * k / (1.0 + t * np.abs(k)),
+    (FamilyKind.BILATERAL_RATIONAL, "s"):
+        lambda f, t, k: f.beta * t / ((1.0 + t * np.abs(k)) * (1.0 + t * np.abs(k - 1.0))),
+    (FamilyKind.BILATERAL_ARCTAN, "weight_sq"):
+        lambda f, t, k: f.alpha + f.beta * np.arctan(t * k),
+    (FamilyKind.BILATERAL_ARCTAN, "s"):
+        lambda f, t, k: f.beta * np.arctan(t / (1.0 + t * t * k * (k - 1.0))),
+}
+X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize > 10
+
+
+def value_bytes(a):
+    """The bytes of the values: an x87 longdouble's 10, not its padding."""
+    a = np.ascontiguousarray(a).reshape(-1)
+    if a.dtype == np.longdouble and X87:
+        return a.view(np.uint8).reshape(a.size, a.itemsize)[:, :10].tobytes()
+    return a.tobytes()
+
+
+indices = st.one_of(st.integers(-50, 50), st.integers(-2**40, 2**40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=admissible_families(), t=st.floats(1e-6, 1.0),
+       dtype=st.sampled_from([np.float64, np.longdouble]),
+       k=st.one_of(indices, st.lists(indices, min_size=1, max_size=40)))
+def test_in_place_weights_equal_fresh_evaluation(fam, t, dtype, k):
+    # disk indices k < 0 are masked to 0; a scalar k takes a 0-d `out`
+    ks = np.asarray(k, dtype=dtype)
+    for name in ("weight_sq", "s"):
+        method = getattr(fam, name)
+        out, work = np.full(ks.shape, np.nan, dtype), np.full(ks.shape, np.nan, dtype)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fresh = np.asarray(method(t, k, dtype))
+            got = method(t, k, dtype, out=out, work=work)
+            want = np.asarray(EXPRESSIONS[fam.kind, name](fam, t, ks), dtype=dtype)
+        assert got is out and fresh.dtype == want.dtype == dtype
+        assert value_bytes(got) == value_bytes(fresh) == value_bytes(want)
 
 
 def paper_exponents(n, mode):

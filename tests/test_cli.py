@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qdbar import cli
+from fixtures import count_weight_evaluations
+from qdbar import cli, limits
 from qdbar.cli import (
     EXIT_INTERNAL, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_PROPERTY,
     EXIT_SYNTAX, emit_config, main, parse_config, run_experiment,
@@ -220,6 +221,23 @@ class TestRunExperiment:
         assert art2.exit_code == EXIT_PROPERTY
         assert art2.rows[0]["status"] == "violation"
 
+    def test_inverse_solves_each_window_once(self, tmp_path, monkeypatch):
+        # the window solved for the bound and the manifest is the one the
+        # residual runs on
+        solved, solve = [], cli.truncation_window
+
+        def counted(family, t, *args, **kwargs):
+            solved.append(t)
+            return solve(family, t, *args, **kwargs)
+        for module in (cli, limits):
+            monkeypatch.setattr(module, "truncation_window", counted)
+        art = run_experiment(parse_config(json.dumps({
+            "family": {"kind": "unilateral_example"}, "element": ZBAR,
+            "experiment": "inverse", "t_grid": [0.5, 0.25],
+            "truncation": {"tail_tol": 1e-4}})), out_dir=tmp_path)
+        assert art.exit_code == EXIT_OK
+        assert solved == [0.5, 0.25]
+
     def test_numerical_failure_manifest(self, tmp_path):
         cfg = parse_config(minimal_config(
             t_grid=[0.001], truncation={"tail_tol": 1e-6, "k_cap": 1000}))
@@ -338,6 +356,17 @@ class TestRunExperiment:
         art = run_experiment(cfg, out_dir=tmp_path)
         assert art.exit_code == EXIT_OK
         assert all(row["ok"] for row in art.rows)
+
+    def test_schur_evaluates_weights_once_per_t(self, tmp_path, monkeypatch):
+        # every kernel (kind, n) of one t shares one evaluation over the window
+        calls = count_weight_evaluations(monkeypatch)
+        art = run_experiment(parse_config(json.dumps({
+            "family": {"kind": "bilateral_rational", "alpha": 1.0, "beta": 0.5},
+            "experiment": "schur", "t_grid": [0.5, 0.1],
+            "truncation": {"tail_tol": 1e-3},
+            "schur": {"max_n": 3, "iters": 300}})), out_dir=tmp_path)
+        assert art.exit_code == EXIT_OK and len(art.rows) == 2 * 7
+        assert calls == {(name, t): 1 for name in ("weight_sq", "s") for t in (0.5, 0.1)}
 
     def test_continuity(self, tmp_path):
         cfg = parse_config(json.dumps({

@@ -1,12 +1,20 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dense_oracle import brute_Qt, chained_inverse_residual, realized_qt_norm
-from fixtures import g2_element, inverse_fixtures, mixed_element
-from qdbar.elements import classical_norm, coordinate_element, truncation_window
-from qdbar import limits
+from dense_oracle import (
+    brute_Qt, chained_inverse_residual, composed_uniform_bound_scan, realized_qt_norm,
+)
+from fixtures import (
+    count_weight_evaluations, g2_element, g_poly_element, inverse_fixtures,
+    mixed_element, random_poly_element,
+)
+from qdbar.elements import (
+    classical_norm, coordinate_element, make_element, truncation_window,
+)
+from qdbar import elements, limits
 from qdbar.errors import (
     CapabilityError, InsufficientDataError, ParameterError, WindowResourceError,
 )
@@ -110,19 +118,21 @@ class TestParametrixConvergence:
 class TestInverseResidual:
     def test_pure_gside_both_modes(self):
         for mode in (CORRECTED, PRINTED):
-            res = inverse_residual(g2_element(), disk(), 0.5, 1e-4, mode)
+            res = inverse_residual(g2_element(), disk(), 0.5,
+                                   truncation_window(disk(), 0.5, 1e-4), mode)
             assert res <= 1e-10
 
     def test_mixed_corrected_within_bound(self):
         fam, t, tol = disk(), 0.1, 1e-4
         elem = mixed_element()
-        res = inverse_residual(elem, fam, t, tol, CORRECTED)
         win = truncation_window(fam, t, tol)
+        res = inverse_residual(elem, fam, t, win, CORRECTED)
         assert res <= inverse_residual_bound(elem, fam, t, tol, win)
 
     def test_printed_fside_reported_failure(self):
         from fixtures import f1_constant_element
-        res = inverse_residual(f1_constant_element(), disk(), 0.5, 1e-4, PRINTED)
+        res = inverse_residual(f1_constant_element(), disk(), 0.5,
+                               truncation_window(disk(), 0.5, 1e-4), PRINTED)
         assert res >= 0.1
 
     @pytest.mark.parametrize("mode", [CORRECTED, PRINTED])
@@ -130,12 +140,14 @@ class TestInverseResidual:
         disk(), annulus(), make_family("bilateral_arctan", alpha=1.0, beta=0.5)])
     def test_equals_chained_band_matrices(self, fam, mode):
         for t, tol in ((0.5, 1e-4), (0.1, 1e-3)):
+            win = truncation_window(fam, t, tol)
             for elem in inverse_fixtures():
-                assert inverse_residual(elem, fam, t, tol, mode) == \
-                    chained_inverse_residual(elem, fam, t, tol, mode)
+                assert inverse_residual(elem, fam, t, win, mode) == \
+                    chained_inverse_residual(elem, fam, t, win, mode)
 
     def test_peak_memory_below_chained_band_matrices(self):
-        args = (mixed_element(), disk(), 0.5, 1e-5, CORRECTED)
+        args = (mixed_element(), disk(), 0.5, truncation_window(disk(), 0.5, 1e-5),
+                CORRECTED)
         peaks = []
         tracemalloc.start()
         try:
@@ -151,7 +163,8 @@ class TestInverseResidual:
     def test_refuses_longdouble_no_wider_than_double(self, monkeypatch):
         monkeypatch.setattr(limits, "LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
         with pytest.raises(CapabilityError, match="extended-precision"):
-            inverse_residual(g2_element(), disk(), 0.5, 1e-4, CORRECTED)
+            inverse_residual(g2_element(), disk(), 0.5,
+                             truncation_window(disk(), 0.5, 1e-4), CORRECTED)
 
 
 class TestContinuityScan:
@@ -205,6 +218,47 @@ class TestUniformBoundScan:
     def test_empty_list_rejected(self):
         with pytest.raises(ParameterError):
             uniform_bound_scan([], disk(), [0.5], 1e-4)
+
+    @staticmethod
+    def scan_elements():
+        zero = make_element([{"side": "f", "n": 1, "kind": "poly", "coeffs": [0.0]}])
+        return [*inverse_fixtures(), random_poly_element(np.random.default_rng(5)), zero]
+
+    @pytest.mark.parametrize("block", [None, *range(1, 17)])
+    def test_equals_per_element_composition(self, monkeypatch, block):
+        # one walk per direction for all elements keeps each element's sums
+        # in their old order, so the rows are bitwise those of the old loop;
+        # the default block gets windows of about 2e5 indices (four blocks)
+        ts, tol = ([0.5, 0.05], 1e-4) if block is None else ([0.5, 0.3], 3e-2)
+        if block is not None:
+            monkeypatch.setattr(elements, "BLOCK", block)
+        elems = self.scan_elements()
+        for fam in (disk(), annulus(), make_family("bilateral_arctan", alpha=1.0, beta=0.5)):
+            for mode in (CORRECTED, PRINTED):
+                assert uniform_bound_scan(elems, fam, ts, tol, mode) == \
+                    composed_uniform_bound_scan(elems, fam, ts, tol, mode)
+
+    @pytest.mark.parametrize("fam", [disk(), annulus()])
+    def test_weights_evaluated_once_per_block_and_direction(self, monkeypatch, fam):
+        # both sides: one bottom-up and one top-down walk per t; g-side
+        # (prefix) bands only: the bottom-up walk alone
+        ts, tol = [0.5, 0.05], 1e-4
+        blocks = {t: math.ceil(truncation_window(fam, t, tol).size / elements.BLOCK)
+                  for t in ts}
+        assert blocks[0.05] == 4
+        for elems, walks in ((self.scan_elements(), 2), ([g2_element(), g_poly_element()], 1)):
+            calls = count_weight_evaluations(monkeypatch)
+            uniform_bound_scan(elems, fam, ts, tol)
+            assert calls == {(name, t): walks * blocks[t]
+                             for name in ("weight_sq", "s") for t in ts}
+            monkeypatch.undo()
+
+    def test_band_cap_only_for_a_nonzero_element(self):
+        wide = make_element([{"side": "f", "n": 17, "kind": "poly", "coeffs": [1.0]}])
+        # window [0, 2]: the band lies wholly outside it, the element is left out
+        assert uniform_bound_scan([wide], disk(), [0.9], 0.3)[0].max_ratio == 0.0
+        with pytest.raises(WindowResourceError, match="cap"):
+            uniform_bound_scan([wide], disk(), [0.5], 1e-3)
 
 
 class TestRateFit:

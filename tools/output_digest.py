@@ -7,7 +7,7 @@ identical, so one `diff` of two runs settles a refactor:
     python3 tools/output_digest.py > b.txt        # in the other
     diff a.txt b.txt
 
-Three parts, printed in this order:
+Four parts, printed in this order:
 
 * `workloads`: the report and the manifest of every config of the
   benchmark's workloads (`perfbench/workloads.py`, imported, never edited)
@@ -20,9 +20,14 @@ Three parts, printed in this order:
   padding.
 * `inverse`: the `inverse_residual` floats of the six inverse fixtures,
   three families, three t and both modes, printed as `repr`.
+* `norms`: the streamed norms as `repr` floats, for three families at
+  t = 0.5 and at t = 0.05 with tail 1e-4, whose windows of about 2e5
+  indices span several blocks: `lambda_norm_sq` and `qt_norm_sq` (both
+  modes, alone and less the realized `tilde_element`) of every element of
+  the band part, and the rows of `uniform_bound_scan` over all of them.
 
 qdbar is imported from `src/` next to this directory.  On 2 CPUs the
-workloads take about 20 s, and the other two parts together as long.
+workloads take about 20 s, and the other three parts together as long.
 """
 
 from __future__ import annotations
@@ -39,9 +44,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from qdbar import cli  # noqa: E402
-from qdbar.elements import realize_quantum, truncation_window  # noqa: E402
-from qdbar.limits import inverse_residual  # noqa: E402
-from qdbar.operators import QtKernelMode, apply_Dt, apply_Qt  # noqa: E402
+from qdbar.elements import lambda_norm_sq, realize_quantum, truncation_window  # noqa: E402
+from qdbar.limits import inverse_residual, uniform_bound_scan  # noqa: E402
+from qdbar.operators import (  # noqa: E402
+    QtKernelMode, apply_Dt, apply_Qt, qt_norm_sq, tilde_element,
+)
 from qdbar.weights import make_family  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -127,14 +134,36 @@ def inverse_lines():
     elems = list(elements().items())[:6]
     for fname, fam in families().items():
         for t in (0.5, 0.1, 0.05):
+            win = truncation_window(fam, t, 1e-4)
             for ename, elem in elems:
                 for mode in MODES:
-                    res = inverse_residual(elem, fam, t, 1e-4, mode)
+                    res = inverse_residual(elem, fam, t, win, mode)
                     yield f"inverse {fname} t={t} tail=0.0001 {ename} {mode.value} {res!r}"
 
 
+def norm_lines():
+    elems = elements()
+    ts = (0.5, 0.05)
+    for fname, fam in families().items():
+        for t in ts:
+            win = truncation_window(fam, t, 1e-4)
+            for ename, elem in elems.items():
+                where = f"{fname} t={t} tail=0.0001 K={win.size} {ename}"
+                yield f"norms {where} lambda {lambda_norm_sq(elem, fam, t, win)!r}"
+                for mode in MODES:
+                    qx = qt_norm_sq(elem, fam, t, win, mode)
+                    y = tilde_element(elem, fam, mode)
+                    diff = qt_norm_sq(elem, fam, t, win, mode, minus=y)
+                    yield f"norms {where} Qt {mode.value} {qx!r} less-tilde {diff!r}"
+        for mode in MODES:
+            rows = uniform_bound_scan(list(elems.values()), fam, ts, 1e-4, mode)
+            for row in rows:
+                yield (f"norms {fname} uniform {mode.value} t={row.t} "
+                       f"{row.max_ratio!r} {row.schur_cap!r} {row.within_cap}")
+
+
 def main() -> int:
-    for part in (workload_lines, band_lines, inverse_lines):
+    for part in (workload_lines, band_lines, inverse_lines, norm_lines):
         for line in part():
             print(line, flush=True)
     return 0
