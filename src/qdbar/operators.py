@@ -33,6 +33,11 @@ sweeps of many elements, and their quantum norms, on one walk per sweep
 direction.  The tests check apply_Qt against the literal O(K^2) double sums
 and qt_norm_sq against the realized band matrices.
 
+D_t maps each band to the next one alone, and _dt_band is its per-band
+formula: apply_Dt runs it on whole band matrices, and the inverse residual
+(qdbar.limits.inverse_residual) runs it on each block of a Q_t sweep, so
+D_t(Q_t x) - x is reduced to its sup with no band matrix realized.
+
 A walk allocates its buffers (weights, products, kernel factors, scan
 values) once and refills them block by block, so the values a walk yields
 for one block are valid only until the walk resumes.
@@ -94,17 +99,27 @@ def apply_Dt(a: BandMatrix, family: WeightFamily, t: float) -> BandMatrix:
     scratch = np.empty(K, dtype=dtype)
     out = {}
     for c, arr in sorted(a.bands.items()):
-        b = c + 1
-        L = K - abs(b)
+        L = K - abs(c + 1)
         if L <= 0:
             continue
         arr = np.pad(arr, 1) if c < 0 else arr   # g-side: zeros beyond both edges
-        i = max(0, -b) + 1      # position of the output band's first column
-        vals = np.multiply(w[i:i + L], arr[1:L + 1])      # w(col) A_c[col+1]
-        vals -= np.multiply(w[i + c:i + c + L], arr[:L], out=scratch[:L])
-        vals /= band_weight(s, i, b, L, out=scratch[:L])
-        out[b] = vals
+        # the output band's first column sits at position max(1, -c) of w and s
+        out[c + 1] = _dt_band(c, arr, w, s, max(1, -c), L, scratch[:L])
     return BandMatrix(win, out, valid_margin=a.valid_margin + 1)
+
+
+def _dt_band(c, a, w, s, i, L, scratch, out=None):
+    """D_t's output band c + 1 at L columns, from input band c.
+
+    Output entry j is at the column col whose w and S sit at w[i + j] and
+    s[i + j]; it reads input band c at col from a[j] and at col + 1 from
+    a[j + 1]:  (w(col) A_c[col+1] - w(col+c) A_c[col]) / sqrt(S(col) S(col+c+1)).
+    `scratch` has L entries; the values go into `out` when given.
+    """
+    vals = np.multiply(w[i:i + L], a[1:L + 1], out=out)
+    vals -= np.multiply(w[i + c:i + c + L], a[:L], out=scratch)
+    vals /= band_weight(s, i, c + 1, L, out=scratch)
+    return vals
 
 
 # ---------------------------------------------------------------------------

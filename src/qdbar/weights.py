@@ -509,6 +509,12 @@ class ConditionReport:
         return bad
 
 
+def _max_distance(vals, limit, out) -> float:
+    """max |vals - limit|, computed in `out` (of vals' size)."""
+    np.subtract(vals, limit, out=out)
+    return float(np.max(np.abs(out, out=out)))
+
+
 def condition_report(family: WeightFamily, t_grid, window, tail_index: int) -> ConditionReport:
     """Scan the weight conditions over a t-grid and an index window.
 
@@ -516,6 +522,8 @@ def condition_report(family: WeightFamily, t_grid, window, tail_index: int) -> C
     built-in families the true sups are attained at small |k| (h1, h2) or in
     the t -> 0 limit (h3), so the report also carries closed-form reference
     values where the family provides them.
+
+    Every array of a t is computed in buffers allocated once per call.
     """
     if len(t_grid) == 0:
         raise ParameterError("t_grid must be nonempty")
@@ -525,29 +533,43 @@ def condition_report(family: WeightFamily, t_grid, window, tail_index: int) -> C
         raise ParameterError("tail_index must lie inside the window")
     ks = np.arange(k_lo, k_hi + 1)
     trace_total = family.w_plus**2 - family.w_minus**2
+    k_ext = np.arange(k_lo - 1, k_hi + 2, dtype=np.float64)    # exact integers
+    s, w_ext, work = np.empty((3, ks.size + 1))
+    tmp = work[:ks.size]
+    valid = np.empty(ks.size, dtype=bool)
+    # ks increases, so ks >= M and ks <= -M select a suffix and a prefix
+    tail_hi, tail_lo = slice(M - k_lo, None), slice(0, max(0, -M - k_lo + 1))
 
     h1, h2, lim_hi, lim_lo, tr_dev, tr_bound = [], [], [], [], [], []
     mono_ok = pos_ok = True
     h3 = np.zeros(ks.size)
     ratio_max = 0.0
     for t in t_grid:
-        s = family.s(t, np.arange(k_lo, k_hi + 2))
-        w_ext = family.weight(t, np.arange(k_lo - 1, k_hi + 1))   # w(k_lo - 1)..w(k_hi)
-        w, wm1 = w_ext[1:], w_ext[:-1]                            # w(k), w(k - 1)
-        mono_ok = mono_ok and bool(np.all(s[:-1] > 0.0))
-        pos_ok = pos_ok and bool(np.all(w > 0.0))
+        family.s(t, k_ext[1:], out=s, work=work)               # S(k_lo)..S(k_hi + 1)
+        family.weight_sq(t, k_ext[:-1], out=w_ext, work=work)
+        np.sqrt(w_ext, out=w_ext)                               # w(k_lo - 1)..w(k_hi)
+        w, wm1 = w_ext[1:], w_ext[:-1]                          # w(k), w(k - 1)
+        mono_ok = mono_ok and bool(np.all(np.greater(s[:-1], 0.0, out=valid)))
+        pos_ok = pos_ok and bool(np.all(np.greater(w, 0.0, out=valid)))
         h1.append(float(np.max(s[:-1])))
-        h2.append(float(np.max(np.abs(s[1:] / s[:-1] - 1.0))))
-        lim_hi.append(float(np.max(np.abs(w[ks >= M] - family.w_plus))))
-        lim_lo.append(float(np.max(np.abs(w[ks <= -M] - family.w_minus)))
+        np.divide(s[1:], s[:-1], out=tmp)
+        tmp -= 1.0
+        h2.append(float(np.max(np.abs(tmp, out=tmp))))
+        lim_hi.append(_max_distance(w[tail_hi], family.w_plus, tmp[tail_hi]))
+        lim_lo.append(_max_distance(w[tail_lo], family.w_minus, tmp[tail_lo])
                       if family.domain is Domain.ANNULUS else None)
         tr_dev.append(abs(float(np.sum(s[:-1])) - trace_total))
         tr_bound.append(family.tail_bound_hi(t, k_hi) + family.tail_bound_lo(t, k_lo))
-        valid = wm1 > 0.0
-        h3 = np.maximum(h3, np.where(valid, np.abs(1.0 - wm1 / np.maximum(w, 1e-300)), 1.0))
-        with np.errstate(divide="ignore"):
-            ratios = np.where(valid, w / np.where(valid, wm1, 1.0), 0.0)
-        ratio_max = max(ratio_max, float(np.max(ratios)))
+        np.greater(wm1, 0.0, out=valid)
+        tmp.fill(1.0)                       # |1 - wm1 / max(w, 1e-300)| where valid, else 1
+        np.maximum(w, 1e-300, out=tmp, where=valid)
+        np.divide(wm1, tmp, out=tmp, where=valid)
+        np.subtract(1.0, tmp, out=tmp, where=valid)
+        np.abs(tmp, out=tmp, where=valid)
+        np.maximum(h3, tmp, out=h3)
+        tmp.fill(0.0)                       # w / wm1 where valid, else 0
+        np.divide(w, wm1, out=tmp, where=valid)
+        ratio_max = max(ratio_max, float(np.max(tmp)))
 
     h3_ref = family.h3_closed(ks)
     h3_stable = family.h3_closed_stable(ks)

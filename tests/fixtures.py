@@ -89,18 +89,30 @@ def admissible_families(draw):
     return make_family(kind, alpha=spread * draw(st.floats(1.01, 10.0)), beta=beta)
 
 
-def count_weight_evaluations(monkeypatch):
-    """Counter of ("weight_sq" or "s", t): array evaluations from now on.
-
-    Wraps the two traced entry points on WeightFamily for the rest of the
-    test; scalar calls (tail bounds) are not counted.
-    """
-    calls = Counter()
+def _record_weight_evaluations(monkeypatch, record):
+    """Call record(name, t, values) after each array evaluation of
+    WeightFamily.weight_sq or .s, for the rest of the test; scalar calls
+    (tail bounds) are not recorded."""
     for name in ("weight_sq", "s"):
-        def counted(self, t, k, *args, _name=name, _orig=getattr(WeightFamily, name),
-                    **kwargs):
+        def recorded(self, t, k, *args, _name=name, _orig=getattr(WeightFamily, name),
+                     **kwargs):
+            values = _orig(self, t, k, *args, **kwargs)
             if np.ndim(k):
-                calls[_name, t] += 1
-            return _orig(self, t, k, *args, **kwargs)
-        monkeypatch.setattr(WeightFamily, name, counted)
+                record(_name, t, values)
+            return values
+        monkeypatch.setattr(WeightFamily, name, recorded)
+
+
+def count_weight_evaluations(monkeypatch):
+    """Counter of ("weight_sq" or "s", t): array evaluations from now on."""
+    calls = Counter()
+    _record_weight_evaluations(monkeypatch, lambda name, t, values: calls.update([(name, t)]))
     return calls
+
+
+def weight_evaluation_log(monkeypatch):
+    """List of (name, dtype, size), one per array evaluation from now on."""
+    log = []
+    _record_weight_evaluations(
+        monkeypatch, lambda name, t, values: log.append((name, values.dtype, values.size)))
+    return log

@@ -15,12 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_Dt, dense_Qt, dense_realize, densify, realized_qt_norm
+from dense_oracle import (
+    chained_inverse_residual, dense_Dt, dense_Qt, dense_realize, densify, realized_qt_norm,
+)
 from fixtures import admissible_families
+from qdbar import elements
 from qdbar.cli import emit_config, parse_config
 from qdbar.elements import (
     lambda_norm_sq, make_element, quantum_norm, realize_quantum, window_from_range,
 )
+from qdbar.limits import inverse_residual
 from qdbar.operators import (
     QtKernelMode, apply_Dt, apply_Qt, norm_pairs_sq, qt_norm_sq, tilde_element,
 )
@@ -168,6 +172,22 @@ def test_shared_walks_equal_one_element_walks(case, more, block, mode):
         want = [(lambda_norm_sq(e, fam, t, win), qt_norm_sq(e, fam, t, win, mode))
                 for e in elems]
     assert pairs == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases(), block=st.one_of(st.none(), st.integers(1, 16)))
+def test_streamed_inverse_residual_equals_chained_band_matrices(case, block):
+    # the walks carry the one neighbour D_t reads across a block edge, so the
+    # sup is bitwise that of whole band matrices at any block size (None is
+    # the default, one block here); windows of 1 to 60 indices include ones
+    # narrower than the band offsets, and disk windows start at k = 0, where
+    # D_t reads w(-1) times a zero pad
+    fam, t, win, spec = case
+    elem = make_element(spec)
+    for mode in QtKernelMode:
+        with mock.patch("qdbar.elements.BLOCK", block or elements.BLOCK):
+            streamed = inverse_residual(elem, fam, t, win, mode)
+        assert streamed == chained_inverse_residual(elem, fam, t, win, mode)
 
 
 # the weight formulas as whole-array expressions, before they ran in place

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from dense_oracle import (
     brute_Qt, chained_inverse_residual, composed_uniform_bound_scan, realized_qt_norm,
 )
 from fixtures import (
-    count_weight_evaluations, g2_element, g_poly_element, inverse_fixtures,
-    mixed_element, random_poly_element,
+    count_weight_evaluations, f_poly_element, g2_element, g_poly_element,
+    inverse_fixtures, mixed_element, random_poly_element, weight_evaluation_log,
 )
 from qdbar.elements import (
     classical_norm, coordinate_element, make_element, truncation_window,
@@ -159,6 +160,42 @@ class TestInverseResidual:
         finally:
             tracemalloc.stop()
         assert peaks[0] <= 0.8 * peaks[1], peaks
+
+    def test_peak_memory_does_not_grow_with_the_window(self):
+        # the walks allocate block-sized buffers only: 2 blocks against 16
+        fam = disk()
+        wins = [truncation_window(fam, 0.5, tol) for tol in (2e-5, 2e-6)]
+        assert [math.ceil(win.size / elements.BLOCK) for win in wins] == [2, 16]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for win in wins:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                inverse_residual(mixed_element(), fam, 0.5, win, CORRECTED)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    @pytest.mark.parametrize("fam", [disk(), annulus()])
+    def test_weights_evaluated_once_per_block_and_direction(self, monkeypatch, fam):
+        # per block of each walk: w^2 and S in longdouble for Q_t and D_t,
+        # w^2 in float64 for x; mixed elements walk both ways, one-sided ones once
+        t, tol = 0.5, 1e-5
+        win = truncation_window(fam, t, tol)
+        blocks = math.ceil(win.size / elements.BLOCK)
+        assert blocks == 4
+        for elem, walks in ((mixed_element(), 2), (g_poly_element(), 1), (f_poly_element(), 1)):
+            log = weight_evaluation_log(monkeypatch)
+            inverse_residual(elem, fam, t, win, CORRECTED)
+            monkeypatch.undo()
+            assert Counter((name, dtype) for name, dtype, _ in log) == {
+                ("weight_sq", np.dtype(np.longdouble)): walks * blocks,
+                ("s", np.dtype(np.longdouble)): walks * blocks,
+                ("weight_sq", np.dtype(np.float64)): walks * blocks}
+            # a block and the halo its band offsets read, never the window
+            assert max(size for *_, size in log) <= elements.BLOCK + elem.N + 3
 
     def test_refuses_longdouble_no_wider_than_double(self, monkeypatch):
         monkeypatch.setattr(limits, "LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
