@@ -38,7 +38,7 @@ from .limits import (
 )
 from .operators import (
     MAX_BAND, QtKernelMode, kernel_specs, operator_norm_estimate,
-    schur_young_bound,
+    schur_property_holds, schur_young_bound,
 )
 from .weights import Domain, condition_report, make_family
 
@@ -415,11 +415,7 @@ def _run_schur(config, points):
         for spec in kernel_specs(kinds, max_n, t, fam, win, mode):
             sb = schur_young_bound(spec)
             est = operator_norm_estimate(spec, iters=iters)
-            ok = est.value <= sb.bound * (1 + 1e-10)
-            # the printed suffix kernel at n = 0 has no t-uniform cap
-            # (output-side denominator); skip the cap check there
-            if mode is QtKernelMode.CORRECTED or spec.n >= 1:
-                ok = ok and sb.bound <= sb.analytic_cap * (1 + 1e-12)
+            ok = schur_property_holds(spec, sb, est)
             bad = bad or not ok
             rows.append({"kind": spec.kind, "n": spec.n, "t": t,
                          "schur_bound": sb.bound,

@@ -4,6 +4,9 @@ residuals, norm-continuity scans, uniform-bound scans, and log-log rate fits.
 Each driver walks a decreasing t-grid, solves the truncation window per grid
 point, and records primary/reference values with the window's tail bound, so
 truncation error stays auditable next to the measured convergence signal.
+The streamed operator work (the Q_t walk, D_t on it, the norms) lives in
+qdbar.operators and qdbar.elements, and the drivers call only their public
+functions.
 """
 
 from __future__ import annotations
@@ -13,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (
-    DEFAULT_K_CAP, IndexWindow, _sample, classical_norm, lambda_norm_sq,
-    truncation_window,
+    DEFAULT_K_CAP, IndexWindow, classical_norm, lambda_norm_sq, truncation_window,
 )
 from .errors import CapabilityError, InsufficientDataError, ParameterError
 from .operators import (
-    QtKernelMode, _check_band_cap, _dt_band, _QtSweep, _sweep_buffers, _sweep_walk,
-    norm_pairs_sq, qt_norm_sq, schur_analytic_cap, tilde_element,
+    QtKernelMode, dt_qt_residual, norm_pairs_sq, qt_norm_sq, schur_analytic_cap,
+    tilde_element,
 )
 
 # machine epsilon of np.longdouble; inverse_residual needs it below float64's
@@ -138,8 +140,9 @@ def inverse_residual(elem, family, t: float, window: IndexWindow,
     Where np.longdouble is no wider than float64 (MSVC, macOS arm64) it
     raises CapabilityError instead of returning a residual made of rounding.
 
-    Streams on the block walker, one walk per sweep direction of Q_t: the
-    prefix bands c < 0 of Q_t x bottom-up, the suffix bands c >= 0 top-down.
+    Streams on the Q_t walk of qdbar.operators (dt_qt_residual), one walk
+    per sweep direction: the prefix bands c < 0 of Q_t x bottom-up, the
+    suffix bands c >= 0 top-down.
     D_t maps Q_t band c to band c + 1 alone, so each block of a Q_t band
     gives that block's entries of D_t(Q_t x), less x sampled from float64
     w^2 as realize_quantum samples it, and their sup.  The one neighbour
@@ -147,64 +150,16 @@ def inverse_residual(elem, family, t: float, window: IndexWindow,
     left and is carried: A_c[col] and w(col + c) below it for c < 0,
     A_c[col + 1] above it for c >= 0.  An entry is trusted one index or
     more from either end of its band, the margin D_t adds, and only trusted
-    entries are computed.  Nothing window-sized is allocated, and the
-    residual is the float of apply_Dt, realize_quantum and BandMatrix.trusted
+    entries are computed.  Nothing window-sized is allocated.  The residual
+    is NaN when any trusted entry is, so a broken band fails the bound, and
+    otherwise the float of apply_Dt, realize_quantum and BandMatrix.trusted
     chained over whole band matrices.
     """
     if not LONGDOUBLE_EPS < np.finfo(np.float64).eps:
         raise CapabilityError(
             f"inverse residuals need an extended-precision np.longdouble; its "
             f"eps here is {LONGDOUBLE_EPS:.3g}, no smaller than float64's")
-    _check_band_cap(elem)
-    K, ld = window.size, np.longdouble
-    bufs = _sweep_buffers(K, ld)
-    n = bufs.shape[1] - 1      # the walk's block size, min(BLOCK, K)
-    # a block of a Q_t band with its neighbour across the edge, D_t of it, scratch
-    a, dt, scratch = np.empty((3, n + 1), dtype=ld)
-    k, w_sq, x, work = np.empty((4, n))     # float64 indices, w^2 and x
-    steps = np.arange(n, dtype=np.float64)
-    sups = {}   # output band -> sup of its |entries| so far
-    for suffix in (False, True):
-        sweep = _QtSweep(elem, suffix)
-        if not sweep.coeffs:
-            continue
-        edge = {}       # Q_t band -> its entry across the next block edge
-        # prefix side: w and S from one index below the block on
-        below = None if suffix else np.zeros((2, n + sweep.top + 3), dtype=ld)
-        for i, L, arrays, outputs in _sweep_walk([sweep], family, t, window, mode,
-                                                 suffix, bufs, dtype=ld):
-            np.add(steps[:L], window.k_lo + i, out=k[:L])    # exact integers
-            family.weight_sq(t, k[:L], out=w_sq[:L], work=work[:L])
-            if below is None:
-                w, s = arrays.w, arrays.s
-            else:       # below[:, p] holds position i - 1 + p
-                below[:, 0] = below[:, n]   # the last block's top position (it had n)
-                below[0, 1:arrays.w.size + 1] = arrays.w
-                below[1, 1:arrays.s.size + 1] = arrays.s
-                w, s = below
-            for _, c, q in outputs:
-                m = q.size
-                if suffix:
-                    a[:m], a[m] = q, edge.get(c, 0.0)      # A_c[col + 1] above the block
-                    edge[c] = q[0]
-                else:
-                    a[0], a[1:m + 1] = edge.get(c, 0.0), q    # A_c[col] below it
-                    edge[c] = q[m - 1]
-                # entry j at position i + j; trusted positions [1, K - |c + 1| - 1);
-                # its column's w and S sit at w[j + max(0, -c)]
-                lo, hi = max(i, 1) - i, min(L, K - abs(c + 1) - 1 - i)
-                size = hi - lo
-                if size <= 0:
-                    continue
-                d = _dt_band(c, a[lo:], w, s, lo + max(0, -c), size, scratch[:size],
-                             out=dt[:size])
-                d -= _sample(elem.by_band[c + 1], w_sq[lo:hi], x[:size], work[:size])
-                top = np.max(np.abs(d, out=d))
-                sups[c + 1] = np.maximum(sups.get(c + 1, top), top)
-    sup = 0.0
-    for b in sorted(sups):
-        sup = max(sup, float(sups[b]))
-    return sup
+    return dt_qt_residual(elem, family, t, window, mode)
 
 
 def inverse_residual_bound(elem, family, t: float, tail_tol: float, window) -> float:

@@ -25,17 +25,19 @@ bands bottom-up and the suffix bands top-down.  Each block shares one set of
 weight arrays and consecutive-weight products among its bands, and each band
 scans the block with the running sum of the blocks before it folded into its
 first summand.  The additions are then exactly those of one whole-window
-cumulative sum, so the result does not depend on the block size.  The
-working set is O(BLOCK x bands): apply_Qt adds only its output bands, and
-qt_norm_sq reduces each block to a number, so norms of Q_t x (less a
-realized element) never hold a window-sized array.  norm_pairs_sq runs the
-sweeps of many elements, and their quantum norms, on one walk per sweep
-direction.  The tests check apply_Qt against the literal O(K^2) double sums
-and qt_norm_sq against the realized band matrices.
+cumulative sum, so the result does not depend on the block size.  One
+generator, _qt_walks, drives both sweeps of any number of elements, and
+every consumer of Q_t runs on it with a working set of O(BLOCK x bands):
+apply_Qt copies each block into its output bands, qt_norm_sq reduces it to
+a norm of Q_t x (less a realized element), norm_pairs_sq reduces the sweeps
+of many elements and their quantum norms on one walk per direction, and
+dt_qt_residual applies D_t to it.  The tests check apply_Qt against the
+literal O(K^2) double sums and qt_norm_sq against the realized band
+matrices.
 
 D_t maps each band to the next one alone, and _dt_band is its per-band
-formula: apply_Dt runs it on whole band matrices, and the inverse residual
-(qdbar.limits.inverse_residual) runs it on each block of a Q_t sweep, so
+formula: apply_Dt runs it on whole band matrices, and dt_qt_residual (the
+inverse residual of qdbar.limits) on each block of a Q_t sweep, so
 D_t(Q_t x) - x is reduced to its sup with no band matrix realized.
 
 A walk allocates its buffers (weights, products, kernel factors, scan
@@ -120,6 +122,63 @@ def _dt_band(c, a, w, s, i, L, scratch, out=None):
     vals -= np.multiply(w[i + c:i + c + L], a[:L], out=scratch)
     vals /= band_weight(s, i, c + 1, L, out=scratch)
     return vals
+
+
+def dt_qt_residual(elem: LambdaElement, family: WeightFamily, t: float,
+                   window: IndexWindow, mode: QtKernelMode) -> float:
+    """Sup of |D_t(Q_t x) - x| over trusted entries, streamed in longdouble.
+
+    Runs on the Q_t walk: D_t maps Q_t band c to band c + 1 alone, so each
+    block of a Q_t band gives that block's entries of D_t(Q_t x), less x
+    sampled from float64 w^2 as realize_quantum samples it.  The one
+    neighbour D_t reads across a block edge belongs to the block the walk
+    has just left and is carried: A_c[col] and w(col + c) below it for
+    c < 0, A_c[col + 1] above it for c >= 0.  An entry is trusted one index
+    or more from either end of its band, and only trusted entries are
+    computed.  The sup is NaN when any trusted entry is NaN; otherwise it is
+    the float of apply_Dt, realize_quantum and BandMatrix.trusted chained
+    over whole band matrices.
+    """
+    K, ld = window.size, np.longdouble
+    n = min(elements.BLOCK, K)      # the walk's block size
+    # a block of a Q_t band with its neighbour across the edge, D_t of it, scratch
+    a, dt, scratch = np.empty((3, n + 1), dtype=ld)
+    k, w_sq, x, work = np.empty((4, n))     # float64 indices, w^2 and x
+    steps = np.arange(n, dtype=np.float64)
+    # prefix side: w and S from one index below the block on, over the block
+    # and a halo of up to N + 3 (Q_t reaches band -(N + 1))
+    below = np.zeros((2, n + elem.N + 4), dtype=ld)
+    edge = {}       # Q_t band -> its entry across the next block edge
+    sup = 0.0
+    for suffix, i, L, arrays, outputs in _qt_walks([elem], family, t, window, mode, ld):
+        np.add(steps[:L], window.k_lo + i, out=k[:L])    # exact integers
+        family.weight_sq(t, k[:L], out=w_sq[:L], work=work[:L])
+        if suffix:
+            w, s = arrays.w, arrays.s
+        else:       # below[:, p] holds position i - 1 + p
+            below[:, 0] = below[:, n]   # the last block's top position (it had n)
+            below[0, 1:arrays.w.size + 1] = arrays.w
+            below[1, 1:arrays.s.size + 1] = arrays.s
+            w, s = below
+        for _, c, q in outputs:
+            m = q.size
+            if suffix:
+                a[:m], a[m] = q, edge.get(c, 0.0)      # A_c[col + 1] above the block
+                edge[c] = q[0]
+            else:
+                a[0], a[1:m + 1] = edge.get(c, 0.0), q    # A_c[col] below it
+                edge[c] = q[m - 1]
+            # entry j at position i + j; trusted positions [1, K - |c + 1| - 1);
+            # its column's w and S sit at w[j + max(0, -c)]
+            lo, hi = max(i, 1) - i, min(L, K - abs(c + 1) - 1 - i)
+            size = hi - lo
+            if size <= 0:
+                continue
+            d = _dt_band(c, a[lo:], w, s, lo + max(0, -c), size, scratch[:size],
+                         out=dt[:size])
+            d -= _sample(elem.by_band[c + 1], w_sq[lo:hi], x[:size], work[:size])
+            sup = np.maximum(sup, np.max(np.abs(d, out=d)))   # keeps a NaN
+    return float(sup)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +275,15 @@ class _QtSweep:
         self.carry = dict.fromkeys(self.coeffs, -0.0)   # x + -0.0 == x, signed zeros too
         self.top = max(self.coeffs, default=-1)
 
-    def block(self, i, L, K, arrays, mode, bufs, out=None):
+    def block(self, i, L, K, arrays, mode, bufs):
         """(output band, values) for each input band, on the block at position i.
 
         `bufs` has six rows of at least L + 1 entries: the kernel factors a,
         b and nu, the scan values and two rows of consecutive products.
-        `values` holds the output band at window positions [i, i + values.size),
-        each entry at its smaller index; it is a view of `out[band]` when
-        `out` is given, else of `bufs`.  Positions past the band's end are
-        scanned, since their summands feed the suffix sums, but not yielded.
+        `values`, a view of `bufs`, holds the output band at window positions
+        [i, i + values.size), each entry at its smaller index.  Positions
+        past the band's end are scanned, since their summands feed the
+        suffix sums, but not yielded.
         """
         direction = "suffix" if self.suffix else "prefix"
         first, last = (-1, 0) if self.suffix else (0, -1)   # scan entry and exit
@@ -246,56 +305,43 @@ class _QtSweep:
                 self.carry[n] = vals[last]
                 m = min(L, K - n - i)   # band +-n's columns in this block
                 if m > 0:
-                    b = n if self.suffix else -n
-                    dest = vals[:m] if out is None else out[b][i:i + m]
-                    np.multiply(vals[:m], parts.a[:m], out=dest)
+                    dest = np.multiply(vals[:m], parts.a[:m], out=vals[:m])
                     if self.suffix:
                         np.negative(dest, out=dest)
-                    yield b, dest
+                    yield (n if self.suffix else -n), dest
             p_n = p_next
 
 
-def _sweep_buffers(K: int, dtype=np.float64) -> np.ndarray:
-    """The rows _QtSweep.block works in, for walks of a K-index window."""
-    return np.empty((6, min(elements.BLOCK, K) + 1), dtype=dtype)
+def _qt_walks(elems, family: WeightFamily, t: float, window: IndexWindow,
+              mode: QtKernelMode, dtype=np.float64, norms: _NormSums | None = None):
+    """Q_t x of every element, block by block: all prefix sweeps bottom-up,
+    then all suffix sweeps top-down.
 
-
-def _sweep_walk(sweeps, family, t, window, mode, reverse, bufs, halo=0,
-                dtype=np.float64, out=None):
-    """One walk of the window for all `sweeps` (of one direction).
-
-    Yields (i, L, arrays, outputs) per block, where `outputs` yields
-    (sweep number, output band, values) and must be exhausted before the
-    walk resumes.  `halo` widens the block arrays for other readers.
+    Yields (suffix, i, L, arrays, outputs) per block, where `arrays` holds
+    w^2 and S from window position i on and `outputs` yields (element
+    number, output band, values) as _QtSweep.block does; it must be
+    exhausted before the walk resumes.  A walk with no sweep is skipped,
+    except that `norms` adds up every block of the bottom-up walk.
     """
-    top = max((sweep.top for sweep in sweeps), default=-1)
-    # P_(top+1) over L + 1 columns reads w up to block position top + L
-    for i, L, arrays in _blocks(family, t, window.k_lo, window.k_hi,
-                                max(halo, top + 2), reverse, dtype):
-        yield i, L, arrays, (
-            (j, b, vals) for j, sweep in enumerate(sweeps)
-            for b, vals in sweep.block(i, L, window.size, arrays, mode, bufs, out))
-
-
-def _qt_blocks(elem: LambdaElement, family: WeightFamily, t: float,
-               window: IndexWindow, mode: QtKernelMode, dtype=np.float64,
-               out: dict | None = None):
-    """Q_t x block by block: (output band, position i, values, block arrays).
-
-    The prefix sweep runs bottom-up, then the suffix sweep top-down (see
-    _QtSweep.block for `values`).  `arrays` holds w^2 and S from position i
-    on.
-    """
-    _check_band_cap(elem)
-    bufs = _sweep_buffers(window.size, dtype)
+    for elem in elems:
+        _check_band_cap(elem)
+    K = window.size
+    bufs = np.empty((6, min(elements.BLOCK, K) + 1), dtype=dtype)
     for suffix in (False, True):
-        sweep = _QtSweep(elem, suffix)
-        if not sweep.coeffs:
+        sweeps = [(j, sweep) for j, sweep in enumerate(_QtSweep(e, suffix) for e in elems)
+                  if sweep.coeffs]
+        reader = None if suffix else norms
+        if not sweeps and reader is None:
             continue
-        for i, _, arrays, outputs in _sweep_walk([sweep], family, t, window, mode,
-                                                 suffix, bufs, dtype=dtype, out=out):
-            for _, b, vals in outputs:
-                yield b, i, vals, arrays
+        top = max((sweep.top for _, sweep in sweeps), default=-1)
+        # P_(top+1) over L + 1 columns reads w up to block position top + L
+        halo = max(top + 2, 0 if reader is None else reader.halo)
+        for i, L, arrays in _blocks(family, t, window.k_lo, window.k_hi, halo, suffix, dtype):
+            if reader is not None:
+                reader.add(i, L, arrays)
+            yield suffix, i, L, arrays, (
+                (j, b, vals) for j, sweep in sweeps
+                for b, vals in sweep.block(i, L, K, arrays, mode, bufs))
 
 
 def _band_norm_sq(b, vals, arrays, minus, buf, work) -> float:
@@ -320,12 +366,14 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
     for b > 0 and a prefix scan for b <= 0.  Sums run
     over the window: on the disk the prefix sums start at 0 exactly, on the
     annulus the omitted mass below k_lo is controlled by the window's lower
-    tail bound.  `_qt_blocks` writes the output bands block by block.
+    tail bound.  Each block `_qt_walks` yields is copied into the output
+    bands.
     """
     K = window.size
     bands = {b - 1: np.empty(max(K - abs(b - 1), 0), dtype=dtype) for b in elem.by_band}
-    for _ in _qt_blocks(elem, family, t, window, mode, dtype, out=bands):
-        pass
+    for _, i, _, _, outputs in _qt_walks([elem], family, t, window, mode, dtype):
+        for _, b, vals in outputs:
+            bands[b][i:i + vals.size] = vals
     return BandMatrix(window, bands, valid_margin=0)
 
 
@@ -341,8 +389,9 @@ def qt_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
     """
     buf, work = np.empty((2, min(elements.BLOCK, window.size)))
     total = 0.0
-    for b, _, vals, arrays in _qt_blocks(elem, family, t, window, mode):
-        total += _band_norm_sq(b, vals, arrays, minus, buf, work)
+    for _, _, _, arrays, outputs in _qt_walks([elem], family, t, window, mode):
+        for _, b, vals in outputs:
+            total += _band_norm_sq(b, vals, arrays, minus, buf, work)
     return total
 
 
@@ -356,32 +405,16 @@ def norm_pairs_sq(elems, family: WeightFamily, t: float, window: IndexWindow,
     numbers are their bits.  An element beyond the band cap raises only
     when its norm is positive; otherwise its Q_t norm is reported as 0.0.
     """
-    K = window.size
-    norms = _NormSums(elems, K)
+    norms = _NormSums(elems, window.size)
     qt = [0.0] * len(elems)
-    bufs = _sweep_buffers(K)
-    buf = np.empty(min(elements.BLOCK, K))
-
-    def sweeps(suffix):
-        found = [(j, _QtSweep(elem, suffix)) for j, elem in enumerate(elems)
-                 if elem.N <= MAX_BAND]
-        return [(j, sweep) for j, sweep in found if sweep.coeffs]
-
-    def walk(owned, suffix, halo=0, each_block=None):
-        for i, L, arrays, outputs in _sweep_walk([sweep for _, sweep in owned], family,
-                                                 t, window, mode, suffix, bufs, halo):
-            if each_block is not None:
-                each_block(i, L, arrays)
-            for n, b, vals in outputs:
-                qt[owned[n][0]] += _band_norm_sq(b, vals, arrays, None, buf, None)
-
-    walk(sweeps(False), False, norms.halo, norms.add)
+    buf = np.empty(min(elements.BLOCK, window.size))
+    swept = [elem if elem.N <= MAX_BAND else LambdaElement() for elem in elems]
+    for _, _, _, arrays, outputs in _qt_walks(swept, family, t, window, mode, norms=norms):
+        for j, b, vals in outputs:
+            qt[j] += _band_norm_sq(b, vals, arrays, None, buf, None)
     for elem, norm_sq in zip(elems, norms.totals):
         if norm_sq > 0.0:       # the elements whose ratio is wanted
             _check_band_cap(elem)
-    down = sweeps(True)
-    if down:
-        walk(down, True)
     return list(zip(norms.totals, qt))
 
 
@@ -590,3 +623,16 @@ def operator_norm_estimate(spec: KernelOperatorSpec, iters: int = 500,
     warnings.warn(f"power iteration did not settle after {iters} iterations "
                   f"(last Rayleigh quotient {lam:.6e}, rel change {rel:.2e})")
     return NormEstimate(float(np.sqrt(lam)), False, iters, rel)
+
+
+def schur_property_holds(spec: KernelOperatorSpec, schur: SchurBound,
+                         estimate: NormEstimate) -> bool:
+    """The power-iteration norm is within the Schur bound, and the Schur
+    bound within the t-uniform analytic cap.
+
+    The printed suffix kernel at n = 0 keeps its denominator at the output
+    index, which has no t-uniform cap on the disk, so its cap is not checked.
+    """
+    capped = spec.mode is QtKernelMode.CORRECTED or spec.n >= 1
+    return estimate.value <= schur.bound * (1 + 1e-10) and \
+        (not capped or schur.bound <= schur.analytic_cap * (1 + 1e-12))

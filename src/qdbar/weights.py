@@ -510,7 +510,9 @@ class ConditionReport:
 
 
 def _max_distance(vals, limit, out) -> float:
-    """max |vals - limit|, computed in `out` (of vals' size)."""
+    """max |vals - limit|, computed in `out` (of vals' size); NaN for no vals."""
+    if vals.size == 0:
+        return float("nan")
     np.subtract(vals, limit, out=out)
     return float(np.max(np.abs(out, out=out)))
 

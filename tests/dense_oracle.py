@@ -149,7 +149,7 @@ def chained_inverse_residual(elem, fam, t, win, mode):
     """Sup of |D_t(Q_t x) - x| over trusted entries, every stage a band matrix.
 
     Q_t x stays alive through D_t, and the difference is a fourth band
-    matrix from BandMatrix subtraction.
+    matrix from BandMatrix subtraction.  A NaN entry makes the sup NaN.
     """
     qx = apply_Qt(elem, fam, t, win, mode, dtype=np.longdouble)
     back = apply_Dt(qx, fam, t)
@@ -158,8 +158,8 @@ def chained_inverse_residual(elem, fam, t, win, mode):
     for b in sorted(diff.bands):
         tr = diff.trusted(b)
         if tr.size:
-            sup = max(sup, float(np.max(np.abs(tr))))
-    return sup
+            sup = np.maximum(sup, float(np.max(np.abs(tr))))
+    return float(sup)
 
 
 def composed_uniform_bound_scan(elems, fam, t_grid, tail_tol, mode):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 from hypothesis import strategies as st
 
-from qdbar.elements import coordinate_element, make_element
+from qdbar.elements import LambdaElement, PowerSum, coordinate_element, make_element
 from qdbar.weights import FamilyKind, WeightFamily, make_family
 
 
@@ -52,6 +52,13 @@ def f2_element():
 def f1_constant_element():
     """f_1 = 1: the fixture whose PRINTED-mode inverse residual is the known failure."""
     return make_element([{"side": "f", "n": 1, "kind": "poly", "coeffs": [1.0]}])
+
+
+def nan_diagonal_element():
+    """f_1 = 1 plus a diagonal callable that is NaN above s = 0.9 (0 below):
+    a broken band, which the inverse check must not pass."""
+    return LambdaElement({1: PowerSum.poly([1.0]),
+                          0: lambda s: np.where(s > 0.9, np.nan, 0.0)})
 
 
 def inverse_fixtures():

@@ -1,14 +1,16 @@
 import json
+import math
 
 import pytest
 
-from fixtures import count_weight_evaluations
+from fixtures import count_weight_evaluations, nan_diagonal_element
 from qdbar import cli, limits
 from qdbar.cli import (
     EXIT_INTERNAL, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_PROPERTY,
     EXIT_SYNTAX, emit_config, main, parse_config, run_experiment,
 )
 from qdbar.errors import ConfigInvalidError, ConfigSyntaxError
+from qdbar.weights import condition_report
 
 ZBAR = [{"side": "g", "n": 1, "kind": "sqrt_poly", "coeffs": [1.0]}]
 F1 = [{"side": "f", "n": 1, "kind": "poly", "coeffs": [1.0]}]
@@ -207,6 +209,32 @@ class TestRunExperiment:
             assert row["h1_closed_delta"] <= 1e-12
             assert row["h2_closed_delta"] <= 1e-12
             assert row["h3_closed_delta_max"] <= 1e-12
+
+    def test_check_weights_window_without_lower_tail(self, tmp_path):
+        # no index k <= -tail_index lies in [-3, 200]: the lower limit
+        # deviation is NaN, and the run still gives its report
+        raw = json.dumps({
+            "family": {"kind": "bilateral_rational", "alpha": 1, "beta": 0.5},
+            "experiment": "check-weights",
+            "weights_check": {"window": [-3, 200], "tail_index": 50}})
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(raw)
+        assert main(["check-weights", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert (tmp_path / "o" / "check-weights.csv").exists()
+        cfg = parse_config(raw)
+        rep = condition_report(cfg.family(), cfg.t_grid(), (-3, 200), 50)
+        assert all(math.isnan(d) for d in rep.limit_deviation_lo)
+
+    def test_inverse_nan_band_is_a_violation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.RunConfig, "element", lambda self: nan_diagonal_element())
+        art = run_experiment(parse_config(json.dumps({
+            "family": {"kind": "unilateral_example"}, "element": F1,
+            "experiment": "inverse", "t_grid": [0.5],
+            "truncation": {"tail_tol": 1e-3}})), out_dir=tmp_path)
+        assert art.exit_code == EXIT_PROPERTY
+        assert math.isnan(art.rows[0]["residual"])
+        assert art.rows[0]["status"] == "violation"
 
     def test_inverse_printed_expected_failure_flag(self, tmp_path):
         base = {"family": {"kind": "unilateral_example"}, "element": F1,

@@ -49,3 +49,14 @@ def test_no_orphan_private_definitions(path):
                    for p, tree in trees.items() for name, line in _references(tree)):
             orphans.append(node.name)
     assert not orphans, f"private definitions nothing references in {path.name}: {orphans}"
+
+
+@pytest.mark.parametrize("name", ["limits.py", "cli.py"])
+def test_drivers_import_no_private_name(name):
+    # the experiment drivers use the operators and elements through their
+    # public functions only
+    tree = ast.parse((SRC / name).read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert not private, f"{name} imports private names: {private}"

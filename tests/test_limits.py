@@ -10,7 +10,8 @@ from dense_oracle import (
 )
 from fixtures import (
     count_weight_evaluations, f_poly_element, g2_element, g_poly_element,
-    inverse_fixtures, mixed_element, random_poly_element, weight_evaluation_log,
+    inverse_fixtures, mixed_element, nan_diagonal_element, random_poly_element,
+    weight_evaluation_log,
 )
 from qdbar.elements import (
     classical_norm, coordinate_element, make_element, truncation_window,
@@ -145,6 +146,13 @@ class TestInverseResidual:
             for elem in inverse_fixtures():
                 assert inverse_residual(elem, fam, t, win, mode) == \
                     chained_inverse_residual(elem, fam, t, win, mode)
+
+    def test_nan_band_makes_the_residual_nan(self):
+        # without its NaN diagonal the element's residual is 5.54e-17
+        fam, t = disk(), 0.5
+        win = truncation_window(fam, t, 1e-3)
+        for residual in (inverse_residual, chained_inverse_residual):
+            assert math.isnan(residual(nan_diagonal_element(), fam, t, win, CORRECTED))
 
     def test_peak_memory_below_chained_band_matrices(self):
         args = (mixed_element(), disk(), 0.5, truncation_window(disk(), 0.5, 1e-5),
