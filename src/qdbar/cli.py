@@ -8,6 +8,12 @@ point window sizes and statuses.  Reports are byte-deterministic: floats are
 formatted with their shortest round-trip representation and wall-clock data
 lives only in the manifest.
 
+Each experiment is one `Experiment` record in `_TABLE`: its driver, its
+report columns, the checker of its own config section and whether it reads
+`element`, `elements` or neither.  `parse_config` checks a config through
+its record, so a config that parses has the section and elements its driver
+reads, and `--help` lists every experiment's columns from the same table.
+
 Exit codes: 0 success, 2 weight-condition violation, 3 numerical failure (a
 window that needs indices beyond k_cap, or a classical integral that diverges:
 a parametrix transform or a classical norm), 4 property failure (a bound or
@@ -23,27 +29,26 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
-from .elements import DEFAULT_K_CAP, make_element, truncation_window
+from .elements import DEFAULT_K_CAP, is_integer, make_element, truncation_window
 from .errors import (
     ConfigInvalidError, ConfigSyntaxError, DivergentIntegralError,
     ParameterError, QdbarError, WindowResourceError,
 )
 from .limits import (
-    continuity_scan, geometric_grid, inverse_residual, inverse_residual_bound,
-    norm_convergence, parametrix_convergence, uniform_bound_scan,
+    ContinuityRow, UniformBoundRow, continuity_scan, geometric_grid,
+    inverse_residual, inverse_residual_bound, norm_convergence,
+    parametrix_convergence, uniform_bound_scan,
 )
 from .operators import (
     MAX_BAND, QtKernelMode, kernel_specs, operator_norm_estimate,
     schur_property_holds, schur_young_bound,
 )
 from .weights import Domain, condition_report, make_family
-
-EXPERIMENTS = ("check-weights", "norms", "parametrix", "inverse", "schur",
-               "continuity", "uniform-bound")
 
 EXIT_OK = 0
 EXIT_CONDITION = 2
@@ -52,6 +57,10 @@ EXIT_PROPERTY = 4
 EXIT_SYNTAX = 64
 EXIT_INVALID = 65
 EXIT_INTERNAL = 70
+
+# most t-grid points, continuity steps or schur power iterations a run may
+# ask for: with k_cap on its windows, this bounds a run's time and memory
+MAX_STEPS = 10_000
 
 DEFAULTS = {
     "t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": 8},
@@ -67,6 +76,7 @@ class RunConfig:
     """A parsed, validated, defaults-filled run description."""
 
     data: dict   # normalized config document
+    settings: tuple | None = None   # the experiment's checked section
 
     @property
     def experiment(self):
@@ -120,12 +130,8 @@ def _is_number(value) -> bool:
         return False
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_positive_int(value) -> bool:
-    return _is_int(value) and value > 0
+    return is_integer(value) and value > 0
 
 
 def _section(config, key) -> dict:
@@ -149,7 +155,7 @@ def _weights_check_settings(config):
         k_hi = 10_000
         k_lo = 0 if fam.domain is Domain.DISK else -k_hi
     elif isinstance(window, list) and len(window) == 2 \
-            and all(_is_int(k) and abs(k) <= 2**53 for k in window):
+            and all(is_integer(k) and abs(k) <= 2**53 for k in window):
         k_lo, k_hi = window
     else:   # beyond 2^53 the float evaluators no longer resolve single indices
         raise ParameterError(
@@ -159,7 +165,7 @@ def _weights_check_settings(config):
         raise ParameterError(f"weights_check.window spans {k_hi - k_lo + 1} indices, "
                              f"more than truncation.k_cap = {config.k_cap}")
     tail_index = wc.get("tail_index", max(1, k_hi // 2))
-    if not (_is_int(tail_index) and k_lo <= tail_index <= k_hi):
+    if not (is_integer(tail_index) and k_lo <= tail_index <= k_hi):
         raise ParameterError("weights_check.tail_index must be an integer inside the "
                              f"window [{k_lo}, {k_hi}], got {tail_index!r}")
     return k_lo, k_hi, tail_index
@@ -174,10 +180,11 @@ def _schur_settings(config):
     sc = _section(config, "schur")
     max_n, iters = sc.get("max_n", 8), sc.get("iters", 500)
     kinds = sc.get("kinds", ["T1", "T2"])
-    if not (_is_int(max_n) and 0 <= max_n <= MAX_BAND):
+    if not (is_integer(max_n) and 0 <= max_n <= MAX_BAND):
         raise ParameterError(f"schur.max_n must be an integer in [0, {MAX_BAND}], got {max_n!r}")
-    if not _is_positive_int(iters):
-        raise ParameterError(f"schur.iters must be a positive integer, got {iters!r}")
+    if not (_is_positive_int(iters) and iters <= MAX_STEPS):
+        raise ParameterError(
+            f"schur.iters must be an integer in [1, {MAX_STEPS}], got {iters!r}")
     if not (isinstance(kinds, list) and kinds and all(k in ("T1", "T2") for k in kinds)
             and len(set(kinds)) == len(kinds)):
         raise ParameterError("schur.kinds must be a nonempty list of distinct kinds "
@@ -195,17 +202,10 @@ def _continuity_settings(config):
     if not (_is_number(t_lo) and _is_number(t_hi) and 0 < t_lo < t_hi < 1):
         raise ParameterError("continuity needs numbers 0 < t_lo < t_hi < 1, "
                              f"got t_lo={t_lo!r}, t_hi={t_hi!r}")
-    if not (_is_int(steps) and steps >= 2):
-        raise ParameterError(f"continuity.steps must be an integer >= 2, got {steps!r}")
+    if not (is_integer(steps) and 2 <= steps <= MAX_STEPS):
+        raise ParameterError(
+            f"continuity.steps must be an integer in [2, {MAX_STEPS}], got {steps!r}")
     return float(t_lo), float(t_hi), steps
-
-
-# the experiments whose own config section parse_config checks
-_SECTIONS = {
-    "check-weights": _weights_check_settings,
-    "schur": _schur_settings,
-    "continuity": _continuity_settings,
-}
 
 
 def parse_config(text: str, experiment: str | None = None) -> RunConfig:
@@ -217,8 +217,7 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigInvalidError("config must be a JSON object")
 
-    data = {}
-    data.update({k: v for k, v in raw.items()})
+    data = dict(raw)
     if isinstance(data.get("t_grid"), list):
         data["t_grid"] = {"kind": "explicit", "values": data["t_grid"]}
     for key, val in DEFAULTS.items():
@@ -246,17 +245,18 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
         raise ConfigInvalidError("t_grid must be a list or an object")
     if grid.get("kind") == "explicit":
         values = grid.get("values")
-        if not (isinstance(values, list) and values
+        if not (isinstance(values, list) and 0 < len(values) <= MAX_STEPS
                 and all(_is_number(v) and 0 < v < 1 for v in values)):
-            raise ConfigInvalidError("explicit t_grid values must be numbers in (0, 1)")
+            raise ConfigInvalidError(
+                f"explicit t_grid values must be 1 to {MAX_STEPS} numbers in (0, 1)")
         grid["values"] = sorted(float(v) for v in values)[::-1]
     elif grid.get("kind") == "geometric":
         if not all(_is_number(grid.get(key)) and 0 < grid[key] < 1
                    for key in ("head", "ratio")):
             raise ConfigInvalidError("geometric t_grid head and ratio must be numbers in (0, 1)")
-        if not _is_positive_int(grid.get("count")):
-            raise ConfigInvalidError(
-                f"geometric t_grid count must be a positive integer, got {grid.get('count')!r}")
+        if not (_is_positive_int(grid.get("count")) and grid["count"] <= MAX_STEPS):
+            raise ConfigInvalidError(f"geometric t_grid count must be an integer in "
+                                     f"[1, {MAX_STEPS}], got {grid.get('count')!r}")
     else:
         raise ConfigInvalidError("t_grid.kind must be 'geometric' or 'explicit'")
 
@@ -271,20 +271,29 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     if not _is_positive_int(k_cap):
         raise ConfigInvalidError(f"truncation.k_cap must be a positive integer, got {k_cap!r}")
 
+    if not isinstance(data["expect_failure"], bool):
+        raise ConfigInvalidError(
+            f"expect_failure must be true or false, got {data['expect_failure']!r}")
+
+    # semantic validation: build every object the driver reads once before running
+    exp = _TABLE[data["experiment"]]
     config = RunConfig(data=data)
-    # semantic validation: build every referenced object once before running
-    needs_element = data["experiment"] not in ("check-weights", "schur")
+    ts = config.t_grid()
+    if not (ts[-1] > 0 and all(a > b for a, b in zip(ts, ts[1:]))):
+        raise ConfigInvalidError("t_grid points must be distinct, and a geometric "
+                                 f"grid must not underflow to 0, got {ts!r}")
     try:
         config.family()
-        if data["experiment"] in _SECTIONS:
-            _SECTIONS[data["experiment"]](config)
-        if needs_element:
-            if "element" not in data and "elements" not in data:
-                raise ParameterError("config needs an 'element' band spec")
-            for elem in config.element_list():
-                if elem.N > MAX_BAND:
-                    raise ParameterError(
-                        f"element band index N={elem.N} exceeds the cap {MAX_BAND}")
+        if exp.section is not None:
+            config = replace(config, settings=exp.section(config))
+        if exp.reads is not None:
+            # element_list falls back to [element] when `elements` is absent
+            if exp.reads not in data and "element" not in data:
+                raise ParameterError(f"config needs an {exp.reads!r} band spec")
+            elems = config.element_list() if exp.reads == "elements" else [config.element()]
+            n_max = max(elem.N for elem in elems)
+            if n_max > MAX_BAND:
+                raise ParameterError(f"element band index N={n_max} exceeds the cap {MAX_BAND}")
         config.qt_mode()
     except (ParameterError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigInvalidError(f"invalid config: {exc}") from exc
@@ -318,151 +327,160 @@ def write_report(rows, columns, path: Path, fmt: str):
 # experiment drivers
 # ---------------------------------------------------------------------------
 
+# A driver takes the parsed config and the manifest's point list, appends one
+# point per grid point it finishes, and returns (rows, exit code): each row
+# holds its values in the order of the experiment's columns.
+
+def _point(t, k_lo, k_hi, status="ok"):
+    """One manifest point: a grid point's window and status."""
+    return {"t": t, "k_lo": k_lo, "k_hi": k_hi, "status": status}
+
+
+def _closed_delta(value, closed):
+    return abs(value - closed) if closed is not None else float("nan")
+
+
 def _run_check_weights(config, points):
-    fam = config.family()
-    k_lo, k_hi, tail_index = _weights_check_settings(config)
+    k_lo, k_hi, tail_index = config.settings
     grid = config.t_grid()
-    rep = condition_report(fam, grid, (k_lo, k_hi), tail_index)
-    h3_delta = rep.h3_closed_cross
+    rep = condition_report(config.family(), grid, (k_lo, k_hi), tail_index)
     rows = []
     for i, t in enumerate(grid):
-        points.append({"t": t, "k_lo": k_lo, "k_hi": k_hi, "status": "ok"})
-        rows.append({
-            "t": t,
-            "h1": rep.h1_values[i],
-            "h2": rep.h2_values[i],
-            "h1_closed_delta": abs(rep.h1_values[i] - rep.h1_closed[i])
-            if rep.h1_closed[i] is not None else float("nan"),
-            "h2_closed_delta": abs(rep.h2_values[i] - rep.h2_closed[i])
-            if rep.h2_closed[i] is not None else float("nan"),
-            "h3_closed_delta_max": h3_delta,
-            "trace_deviation": rep.trace_deviation[i],
-            "trace_tail_bound": rep.trace_tail_bound[i],
-            "limit_deviation_hi": rep.limit_deviation_hi[i],
-            "monotone": rep.monotonicity_ok,
-            "positive": rep.positivity_ok,
-            "wconst": rep.const_wratio,
-            "wconst_identity_delta": abs(rep.const_wratio - rep.const_wratio_identity),
-        })
-    columns = ["t", "h1", "h2", "h1_closed_delta", "h2_closed_delta",
-               "h3_closed_delta_max", "trace_deviation", "trace_tail_bound",
-               "limit_deviation_hi", "monotone", "positive", "wconst",
-               "wconst_identity_delta"]
-    exit_code = EXIT_CONDITION if rep.violations() else EXIT_OK
-    return rows, columns, exit_code
+        points.append(_point(t, k_lo, k_hi))
+        rows.append((t, rep.h1_values[i], rep.h2_values[i],
+                     _closed_delta(rep.h1_values[i], rep.h1_closed[i]),
+                     _closed_delta(rep.h2_values[i], rep.h2_closed[i]),
+                     rep.h3_closed_cross, rep.trace_deviation[i],
+                     rep.trace_tail_bound[i], rep.limit_deviation_hi[i],
+                     rep.monotonicity_ok, rep.positivity_ok, rep.const_wratio,
+                     abs(rep.const_wratio - rep.const_wratio_identity)))
+    return rows, EXIT_CONDITION if rep.violations() else EXIT_OK
+
+
+def _series_rows(series, points, *fields):
+    """Rows (t, k_hi, *fields) of a ConvergenceSeries, one point per record."""
+    rows = []
+    for rec in series.records:
+        points.append(_point(rec.t, rec.window_lo, rec.window_hi))
+        rows.append((rec.t, rec.window_hi, *(getattr(rec, f) for f in fields)))
+    return rows, EXIT_OK
 
 
 def _run_norms(config, points):
     series = norm_convergence(config.element(), config.family(), config.t_grid(),
                               config.tail_tol, config.k_cap)
-    rows = []
-    for rec in series.records:
-        points.append({"t": rec.t, "k_lo": rec.window_lo, "k_hi": rec.window_hi,
-                       "status": "ok"})
-        rows.append({"t": rec.t, "k_hi": rec.window_hi,
-                     "quantum_norm": rec.primary_value,
-                     "classical_norm": rec.reference_value,
-                     "abs_error": rec.abs_error, "tail_bound": rec.tail_bound})
-    columns = ["t", "k_hi", "quantum_norm", "classical_norm", "abs_error",
-               "tail_bound"]
-    return rows, columns, EXIT_OK
+    return _series_rows(series, points, "primary_value", "reference_value",
+                        "abs_error", "tail_bound")
 
 
 def _run_parametrix(config, points):
     series = parametrix_convergence(config.element(), config.family(),
                                     config.t_grid(), config.tail_tol,
                                     config.qt_mode(), config.k_cap)
-    rows = []
-    for rec in series.records:
-        points.append({"t": rec.t, "k_lo": rec.window_lo, "k_hi": rec.window_hi,
-                       "status": "ok"})
-        rows.append({"t": rec.t, "k_hi": rec.window_hi,
-                     "parametrix_error": rec.abs_error,
-                     "tail_bound": rec.tail_bound})
-    return rows, ["t", "k_hi", "parametrix_error", "tail_bound"], EXIT_OK
+    return _series_rows(series, points, "abs_error", "tail_bound")
 
 
 def _run_inverse(config, points):
     fam = config.family()
     elem = config.element()
     mode = config.qt_mode()
-    expect_failure = bool(config.data["expect_failure"])
+    expect_failure = config.data["expect_failure"]
     rows = []
-    worst_violation = False
+    violation = False
     for t in config.t_grid():
         win = truncation_window(fam, t, config.tail_tol, config.k_cap)
         res = inverse_residual(elem, fam, t, win, mode)
         bound = inverse_residual_bound(elem, fam, t, config.tail_tol, win)
         ok = res <= bound
         status = "ok" if ok else ("expected-failure" if expect_failure else "violation")
-        worst_violation = worst_violation or (not ok and not expect_failure)
-        points.append({"t": t, "k_lo": win.k_lo, "k_hi": win.k_hi, "status": status})
-        rows.append({"t": t, "k_hi": win.k_hi, "residual": res, "bound": bound,
-                     "status": status})
-    columns = ["t", "k_hi", "residual", "bound", "status"]
-    return rows, columns, EXIT_PROPERTY if worst_violation else EXIT_OK
+        violation = violation or status == "violation"
+        points.append(_point(t, win.k_lo, win.k_hi, status))
+        rows.append((t, win.k_hi, res, bound, status))
+    return rows, EXIT_PROPERTY if violation else EXIT_OK
 
 
 def _run_schur(config, points):
     fam = config.family()
     mode = config.qt_mode()
-    max_n, iters, kinds = _schur_settings(config)
+    max_n, iters, kinds = config.settings
     rows = []
     bad = False
     for t in config.t_grid():
         win = truncation_window(fam, t, config.tail_tol, config.k_cap)
-        points.append({"t": t, "k_lo": win.k_lo, "k_hi": win.k_hi, "status": "ok"})
+        points.append(_point(t, win.k_lo, win.k_hi))
         for spec in kernel_specs(kinds, max_n, t, fam, win, mode):
             sb = schur_young_bound(spec)
             est = operator_norm_estimate(spec, iters=iters)
             ok = schur_property_holds(spec, sb, est)
             bad = bad or not ok
-            rows.append({"kind": spec.kind, "n": spec.n, "t": t,
-                         "schur_bound": sb.bound,
-                         "analytic_cap": sb.analytic_cap,
-                         "norm_estimate": est.value,
-                         "converged": est.converged, "ok": ok})
-    columns = ["kind", "n", "t", "schur_bound", "analytic_cap",
-               "norm_estimate", "converged", "ok"]
-    return rows, columns, EXIT_PROPERTY if bad else EXIT_OK
+            rows.append((spec.kind, spec.n, t, sb.bound, sb.analytic_cap,
+                         est.value, est.converged, ok))
+    return rows, EXIT_PROPERTY if bad else EXIT_OK
+
+
+def _scan_rows(scan, points):
+    """The rows of a limits scan, whose fields are the report columns; its
+    manifest points carry no window."""
+    points.extend(_point(row.t, None, None) for row in scan)
+    return [astuple(row) for row in scan]
 
 
 def _run_continuity(config, points):
-    t_lo, t_hi, steps = _continuity_settings(config)
-    rows_out = continuity_scan(config.element(), config.family(), (t_lo, t_hi),
-                               steps, config.tail_tol, config.k_cap)
-    rows = []
-    for row in rows_out:
-        points.append({"t": row.t, "k_lo": None, "k_hi": None, "status": "ok"})
-        rows.append({"t": row.t, "norm": row.norm,
-                     "forward_difference": row.forward_difference})
-    return rows, ["t", "norm", "forward_difference"], EXIT_OK
+    t_lo, t_hi, steps = config.settings
+    scan = continuity_scan(config.element(), config.family(), (t_lo, t_hi),
+                           steps, config.tail_tol, config.k_cap)
+    return _scan_rows(scan, points), EXIT_OK
 
 
 def _run_uniform_bound(config, points):
-    rows_out = uniform_bound_scan(config.element_list(), config.family(),
-                                  config.t_grid(), config.tail_tol,
-                                  config.qt_mode(), config.k_cap)
-    rows = []
-    bad = False
-    for row in rows_out:
-        points.append({"t": row.t, "k_lo": None, "k_hi": None, "status": "ok"})
-        bad = bad or not row.within_cap
-        rows.append({"t": row.t, "max_ratio": row.max_ratio,
-                     "schur_cap": row.schur_cap, "within_cap": row.within_cap})
-    return rows, ["t", "max_ratio", "schur_cap", "within_cap"], \
-        EXIT_PROPERTY if bad else EXIT_OK
+    scan = uniform_bound_scan(config.element_list(), config.family(),
+                              config.t_grid(), config.tail_tol,
+                              config.qt_mode(), config.k_cap)
+    exit_code = EXIT_OK if all(row.within_cap for row in scan) else EXIT_PROPERTY
+    return _scan_rows(scan, points), exit_code
 
 
-_DRIVERS = {
-    "check-weights": _run_check_weights,
-    "norms": _run_norms,
-    "parametrix": _run_parametrix,
-    "inverse": _run_inverse,
-    "schur": _run_schur,
-    "continuity": _run_continuity,
-    "uniform-bound": _run_uniform_bound,
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI experiment: its driver, its report columns, the checker of its
+    own config section (config -> the settings tuple its driver reads back)
+    and which element accessor its driver calls: "element" (RunConfig.element),
+    "elements" (RunConfig.element_list) or None."""
+
+    driver: Callable
+    columns: tuple
+    section: Callable | None = None
+    reads: str | None = None
+
+
+_TABLE = {
+    "check-weights": Experiment(
+        _run_check_weights,
+        ("t", "h1", "h2", "h1_closed_delta", "h2_closed_delta",
+         "h3_closed_delta_max", "trace_deviation", "trace_tail_bound",
+         "limit_deviation_hi", "monotone", "positive", "wconst",
+         "wconst_identity_delta"),
+        section=_weights_check_settings),
+    "norms": Experiment(
+        _run_norms, ("t", "k_hi", "quantum_norm", "classical_norm", "abs_error",
+                     "tail_bound"), reads="element"),
+    "parametrix": Experiment(
+        _run_parametrix, ("t", "k_hi", "parametrix_error", "tail_bound"),
+        reads="element"),
+    "inverse": Experiment(
+        _run_inverse, ("t", "k_hi", "residual", "bound", "status"), reads="element"),
+    "schur": Experiment(
+        _run_schur, ("kind", "n", "t", "schur_bound", "analytic_cap",
+                     "norm_estimate", "converged", "ok"), section=_schur_settings),
+    "continuity": Experiment(
+        _run_continuity, tuple(f.name for f in fields(ContinuityRow)),
+        section=_continuity_settings, reads="element"),
+    "uniform-bound": Experiment(
+        _run_uniform_bound, tuple(f.name for f in fields(UniformBoundRow)),
+        reads="elements"),
 }
+
+EXPERIMENTS = tuple(_TABLE)
 
 
 @dataclass
@@ -487,8 +505,10 @@ def run_experiment(config: RunConfig, out_dir=None, fmt=None) -> RunArtifacts:
     trace = None
     started = time.time()
     try:
-        rows, columns, exit_code = _DRIVERS[config.experiment](config, points)
-        write_report(rows, columns, report_path, fmt)
+        exp = _TABLE[config.experiment]
+        values, exit_code = exp.driver(config, points)
+        rows = [dict(zip(exp.columns, row)) for row in values]
+        write_report(rows, exp.columns, report_path, fmt)
         if exit_code == EXIT_CONDITION:
             status = "condition-failure"
         elif exit_code == EXIT_PROPERTY:
@@ -523,17 +543,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qdbar",
         description="Quantum disk/annulus d-bar experiments. Columns per "
-                    "experiment: norms -> t,k_hi,quantum_norm,classical_norm,"
-                    "abs_error,tail_bound; parametrix -> t,k_hi,"
-                    "parametrix_error,tail_bound; inverse -> t,k_hi,residual,"
-                    "bound,status; schur -> kind,n,t,schur_bound,analytic_cap,"
-                    "norm_estimate,converged,ok; continuity -> t,norm,"
-                    "forward_difference; uniform-bound -> t,max_ratio,"
-                    "schur_cap,within_cap. CSV floats use shortest round-trip "
-                    "decimals. Exit codes: 0 ok, 2 condition failure, "
-                    "3 numerical failure, 4 property failure, 64/65 config "
-                    "syntax/invalid, 70 internal error (details in the "
-                    "manifest).")
+                    "experiment: " + "; ".join(
+                        f"{name} -> {', '.join(exp.columns)}"
+                        for name, exp in _TABLE.items())
+                    + ". CSV floats use shortest round-trip decimals. Exit "
+                    "codes: 0 ok, 2 condition failure, 3 numerical failure, "
+                    "4 property failure, 64/65 config syntax/invalid, 70 "
+                    "internal error (details in the manifest).")
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory override")

@@ -41,6 +41,9 @@ from .weights import WeightFamily
 
 BLOCK = 1 << 16  # indices per streamed block: a walk's buffers are 512 KiB each in float64
 DEFAULT_K_CAP = 20_000_000  # largest window index a run may need
+# |min_power| of a half_power spec: its exact transforms hold one coefficient
+# per half power between 0 and min_power, so this bounds their size
+MAX_HALF_POWER = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +264,15 @@ class Transform:
         return self.P.is_zero() and self.Q.is_zero()
 
 
+def is_integer(value) -> bool:
+    """An integer (a numpy integer too) that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _coeff_from_spec(entry):
     if "fn" in entry:
+        if not callable(entry["fn"]):
+            raise ParameterError(f"a band's fn must be callable, got {entry['fn']!r}")
         return entry["fn"]
     kind = entry.get("kind")
     coeffs = entry.get("coeffs")
@@ -271,7 +281,11 @@ def _coeff_from_spec(entry):
     elif kind == "sqrt_poly":
         coeff = PowerSum.sqrt_poly(coeffs)
     elif kind == "half_power":
-        coeff = PowerSum(coeffs, int(entry.get("min_power", 0)))
+        min_power = entry.get("min_power", 0)
+        if not (is_integer(min_power) and abs(min_power) <= MAX_HALF_POWER):
+            raise ParameterError("half_power min_power must be an integer within "
+                                 f"+-{MAX_HALF_POWER}, got {min_power!r}")
+        coeff = PowerSum(coeffs, int(min_power))
     else:
         raise ParameterError(f"unknown coefficient kind {kind!r}")
     if not np.isfinite(coeff.coeffs).all():
@@ -350,13 +364,14 @@ def make_element(band_spec) -> LambdaElement:
     by_band = {}
     for entry in band_spec:
         side = entry["side"]
-        n = int(entry.get("n", 0))
+        n = entry.get("n", 0)
         if side not in ("f", "g", "diag"):
             raise ParameterError(f"unknown band side {side!r}")
+        if not (is_integer(n) and n >= 0):
+            raise ParameterError(f"band index n must be a nonnegative integer, got {n!r}")
+        n = int(n)
         if side == "diag" and n != 0:
             raise ParameterError("diagonal entries must have n = 0")
-        if n < 0:
-            raise ParameterError("band index n must be nonnegative")
         key = (side, n)
         if key in seen:
             raise ParameterError(f"duplicate band for side={side!r}, n={n}")

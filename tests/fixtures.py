@@ -1,11 +1,13 @@
 """Shared test elements: coordinates plus small polynomial band mixes."""
 
+import json
 import math
 from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
 
+from qdbar import cli
 from qdbar.elements import LambdaElement, PowerSum, coordinate_element, make_element
 from qdbar.weights import FamilyKind, WeightFamily, make_family
 
@@ -86,14 +88,136 @@ def random_poly_element(rng: np.random.Generator, max_n=4):
 
 
 @st.composite
-def admissible_families(draw):
-    """A random family of any kind with admissible alpha, beta."""
+def family_specs(draw):
+    """The config spec {kind, alpha, beta} of a random admissible family."""
     kind = draw(st.sampled_from(list(FamilyKind)))
     if kind is FamilyKind.UNILATERAL_EXAMPLE:
-        return make_family(kind)
+        return {"kind": kind.value}
     beta = draw(st.floats(0.01, 10.0))
     spread = beta if kind is FamilyKind.BILATERAL_RATIONAL else beta * math.pi / 2.0
-    return make_family(kind, alpha=spread * draw(st.floats(1.01, 10.0)), beta=beta)
+    return {"kind": kind.value, "alpha": spread * draw(st.floats(1.01, 10.0)), "beta": beta}
+
+
+def admissible_families():
+    """A random family of any kind with admissible alpha, beta."""
+    return family_specs().map(lambda spec: make_family(**spec))
+
+
+# ---------------------------------------------------------------------------
+# run configs for the CLI fuzzer
+# ---------------------------------------------------------------------------
+
+FUZZ_K_CAP = 200_000   # largest k_cap of a fuzzed config (drawn log-uniformly): it bounds a run
+
+# stand-ins for one field of a near-miss config: wrong types, boundary values,
+# huge and tiny numbers, and the NaN/Infinity literals Python's json accepts
+NEAR_MISS_VALUES = [
+    None, True, False, "x", "0.5", [], {}, [0.5], 0, 1, -1, 0.0, 1.0, 0.5, 2,
+    2**53, -2**53, 2**53 + 1, 10**400, -10**400, 1e308, -1e308, 5e-324, 1e-300,
+    float("nan"), float("inf"), float("-inf"),
+]
+
+
+@st.composite
+def band_specs(draw):
+    """A band spec list of one to three entries with distinct (side, n)."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["f", "g"]), st.integers(0, 3))
+                         | st.just(("diag", 0)), min_size=1, max_size=3, unique=True))
+    spec = []
+    for side, n in keys:
+        entry = {"side": side, "n": n,
+                 "kind": draw(st.sampled_from(["poly", "sqrt_poly", "half_power"])),
+                 "coeffs": draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))}
+        if entry["kind"] == "half_power":
+            entry["min_power"] = draw(st.integers(-4, 4))
+        spec.append(entry)
+    return spec
+
+
+def _t_grids():
+    ts = st.floats(0.01, 0.95)
+    return st.one_of(
+        st.lists(ts, min_size=1, max_size=3),
+        st.fixed_dictionaries({"kind": st.just("explicit"),
+                               "values": st.lists(ts, min_size=1, max_size=3)}),
+        st.fixed_dictionaries({"kind": st.just("geometric"), "head": st.floats(0.1, 0.9),
+                               "ratio": st.floats(0.2, 0.9), "count": st.integers(1, 3)}))
+
+
+@st.composite
+def _sections(draw, experiment, family):
+    """The experiment's own section (possibly empty), or {} if it has none."""
+    if experiment == "check-weights":
+        lo = 0 if family["kind"] == "unilateral_example" else draw(st.integers(-2000, 0))
+        hi = draw(st.integers(max(lo, 1), 2000))
+        section = {"window": [lo, hi], "tail_index": draw(st.integers(lo, hi))}
+        key = "weights_check"
+    elif experiment == "schur":
+        section = {"max_n": draw(st.integers(0, 3)), "iters": draw(st.integers(1, 40)),
+                   "kinds": draw(st.sampled_from([["T1"], ["T2"], ["T1", "T2"]]))}
+        key = "schur"
+    elif experiment == "continuity":
+        section = {"t_lo": draw(st.floats(0.05, 0.5)), "t_hi": draw(st.floats(0.55, 0.95)),
+                   "steps": draw(st.integers(2, 4))}
+        key = "continuity"
+    else:
+        return {}
+    # each key of the section may fall back to its default
+    return {key: {k: v for k, v in section.items() if draw(st.booleans())}}
+
+
+def _containers(node):
+    """Every (container, key) slot of a JSON document, outermost first."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+@st.composite
+def run_configs(draw):
+    """(experiment, config text): a config of the README grammar for any
+    experiment of the CLI's table, with its own section and the element or
+    elements it reads; half of them are near-misses, where one field is
+    replaced by a NEAR_MISS_VALUES entry, one key or list entry is dropped, or
+    an extra key or entry is added.  The invalid values of k_cap itself are
+    left to test_cli's explicit cases."""
+    experiment = draw(st.sampled_from(cli.EXPERIMENTS))
+    family = draw(family_specs())
+    elements = {"element": band_specs(),
+                "elements": st.lists(band_specs(), min_size=1, max_size=3)}
+    config = {"family": family, "t_grid": draw(_t_grids()),
+              "truncation": {"tail_tol": 10.0 ** draw(st.floats(-6.0, -0.5)),
+                             "k_cap": round(FUZZ_K_CAP ** draw(st.floats(0.0, 1.0)))},
+              **draw(_sections(experiment, family))}
+    reads = cli._TABLE[experiment].reads
+    if reads is not None:
+        config[reads] = draw(elements.pop(reads))
+    optional = {
+        **elements,
+        "experiment": st.just(experiment),
+        "qt_kernel": st.sampled_from(["corrected", "printed"]),
+        "expect_failure": st.booleans(),
+        "output": st.fixed_dictionaries({"format": st.sampled_from(["csv", "json"])}),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            config[key] = draw(values)
+    if draw(st.booleans()):
+        # k_cap bounds the run, so neither it nor its section is touched
+        slots = [(c, k) for c, k in _containers(config)
+                 if k not in ("truncation", "k_cap")]
+        container, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "replace":
+            container[key] = draw(st.sampled_from(NEAR_MISS_VALUES))
+        elif action == "drop":
+            del container[key]
+        elif isinstance(container, dict):
+            container["extra_key"] = draw(st.sampled_from(NEAR_MISS_VALUES))
+        else:
+            container.append(draw(st.sampled_from(NEAR_MISS_VALUES)))
+    return experiment, json.dumps(config)
 
 
 def _record_weight_evaluations(monkeypatch, record):

@@ -1,9 +1,14 @@
 import json
 import math
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
-from fixtures import count_weight_evaluations, nan_diagonal_element
+from fixtures import count_weight_evaluations, nan_diagonal_element, run_configs
 from qdbar import cli, limits
 from qdbar.cli import (
     EXIT_INTERNAL, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_PROPERTY,
@@ -108,6 +113,28 @@ class TestParseConfig:
         {"t_grid": [0.5, 10**400]},
         {"t_grid": {"kind": "geometric", "head": 10**400, "ratio": 0.5, "count": 3}},
         {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": 10**400, "count": 3}},
+        {"experiment": "inverse", "element": [{"side": "f", "n": 1, "fn": 5}]},
+        {"experiment": "uniform-bound", "elements": [[{"side": "f", "n": 1, "fn": 5}]]},
+        {"element": [{"side": "diag", "kind": "half_power", "coeffs": [1.0],
+                      "min_power": 1e20}]},
+        {"element": [{"side": "diag", "kind": "half_power", "coeffs": [1.0],
+                      "min_power": -1e20}]},
+        {"element": [{"side": "diag", "kind": "half_power", "coeffs": [1.0],
+                      "min_power": 10**20}]},
+        {"element": [{"side": "diag", "kind": "half_power", "coeffs": [1.0],
+                      "min_power": 1.5}]},
+        {"element": [{"side": "diag", "kind": "half_power", "coeffs": [1.0],
+                      "min_power": "3"}]},
+        {"element": [{"side": "g", "n": 1.7, "kind": "poly", "coeffs": [1.0]}]},
+        {"element": [{"side": "g", "n": True, "kind": "poly", "coeffs": [1.0]}]},
+        {"experiment": "inverse", "expect_failure": "false"},
+        {"experiment": "inverse", "expect_failure": 0},
+        {"t_grid": [0.5, 0.2, 0.5]},
+        {"t_grid": {"kind": "geometric", "head": 0.5, "ratio": 1e-200, "count": 3}},
+        {"t_grid": {"kind": "geometric", "head": 0.2, "ratio": 0.5, "count": 10**9}},
+        {"t_grid": [0.9 - i * 1e-5 for i in range(10_001)]},
+        {"experiment": "continuity", "continuity": {"steps": 10**9}},
+        {"experiment": "schur", "schur": {"iters": 2**53}},
     ], ids=["k_cap-str", "k_cap-zero", "k_cap-negative", "k_cap-float",
             "k_cap-bool", "tail_tol-str", "coeff-nan", "coeff-inf", "N-over-cap",
             "output-str", "output-directory-int", "truncation-str", "values-str",
@@ -121,7 +148,12 @@ class TestParseConfig:
             "T2-only-max_n-zero", "kinds-repeated", "t_lo-str",
             "continuity-list", "t_lo-above-t_hi", "steps-one",
             "tail_tol-overflows", "t_grid-value-overflows", "head-overflows",
-            "ratio-overflows"])
+            "ratio-overflows", "fn-int-inverse", "fn-int-uniform-bound",
+            "min_power-1e20", "min_power-minus-1e20", "min_power-int-1e20",
+            "min_power-float", "min_power-str", "n-float", "n-bool",
+            "expect_failure-str", "expect_failure-int", "t_grid-repeats",
+            "geometric-underflows", "count-huge", "values-over-10000", "steps-huge",
+            "iters-huge"])
     def test_rejects_invalid_values(self, tmp_path, extra):
         text = minimal_config(**extra)
         with pytest.raises(ConfigInvalidError):
@@ -131,6 +163,35 @@ class TestParseConfig:
         experiment = json.loads(text)["experiment"]
         assert main([experiment, "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("experiment", ["norms", "parametrix", "inverse", "continuity"])
+    def test_elements_only_config_is_invalid(self, tmp_path, experiment):
+        # these drivers read `element`; a config with only `elements` must not
+        # parse and then fail in the run
+        text = json.dumps({"experiment": experiment,
+                           "family": {"kind": "unilateral_example"},
+                           "elements": [ZBAR], "t_grid": [0.5],
+                           "truncation": {"tail_tol": 1e-3}})
+        with pytest.raises(ConfigInvalidError, match="needs an 'element'"):
+            parse_config(text)
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(text)
+        assert main([experiment, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == EXIT_INVALID
+
+    def test_expect_failure_string_is_invalid(self, tmp_path):
+        # "false" is a truthy string: read as a flag it would turn the printed
+        # f_1 violation (residual 0.301, bound 0.0129) into an expected failure
+        base = {"family": {"kind": "unilateral_example"}, "element": F1,
+                "experiment": "inverse", "qt_kernel": "printed",
+                "t_grid": [0.5], "truncation": {"tail_tol": 1e-3}}
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({**base, "expect_failure": "false"}))
+        assert main(["inverse", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "a")]) == EXIT_INVALID
+        cfgfile.write_text(json.dumps({**base, "expect_failure": False}))
+        assert main(["inverse", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "b")]) == EXIT_PROPERTY
 
     def test_kernel_bounds_sections_stay_valid(self):
         cfg = parse_config(json.dumps({
@@ -316,7 +377,7 @@ class TestRunExperiment:
     def test_internal_error_manifest(self, tmp_path, monkeypatch):
         def broken(config, points):
             raise TypeError("unsupported operand")
-        monkeypatch.setitem(cli._DRIVERS, "norms", broken)
+        monkeypatch.setitem(cli._TABLE, "norms", replace(cli._TABLE["norms"], driver=broken))
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(minimal_config(t_grid=[0.3]))
         assert main(["norms", "--config", str(cfgfile),
@@ -407,7 +468,38 @@ class TestRunExperiment:
         assert len(art.rows) == 5
 
 
+# the section or elements that make each experiment's run small
+SMALL_RUNS = {
+    "check-weights": {"weights_check": {"window": [0, 200], "tail_index": 100}},
+    "norms": {}, "parametrix": {}, "inverse": {},
+    "schur": {"schur": {"max_n": 1, "iters": 50}},
+    "continuity": {"continuity": {"t_lo": 0.4, "t_hi": 0.6, "steps": 2}},
+    "uniform-bound": {"elements": [ZBAR, F1]},
+}
+
+
 class TestMain:
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_report_columns_match_the_table(self, tmp_path, capsys, experiment):
+        columns = cli._TABLE[experiment].columns
+        text = minimal_config(experiment=experiment, t_grid=[0.5],
+                              truncation={"tail_tol": 1e-3}, **SMALL_RUNS[experiment])
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(text)
+        assert main([experiment, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        header = (tmp_path / "o" / f"{experiment}.csv").read_text().splitlines()[0]
+        assert header == ",".join(columns)
+        art = run_experiment(parse_config(text), out_dir=tmp_path / "j", fmt="json")
+        assert art.rows and all(list(row) == list(columns) for row in art.rows)
+        assert all(list(row) == list(columns)
+                   for row in json.loads(art.report_path.read_text()))
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert re.search(re.escape(f"{experiment} -> {', '.join(columns)}") + "[;.]",
+                         help_text)
+
     def test_cli_exit_codes(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(minimal_config(
@@ -430,3 +522,53 @@ class TestMain:
 
     def test_cli_missing_config(self, tmp_path):
         assert main(["norms", "--config", str(tmp_path / "nope.json")]) == EXIT_SYNTAX
+
+
+def _fuzz_example(experiment, **config):
+    return example(fuzz=(experiment, json.dumps({"experiment": experiment, **config})))
+
+
+UNILATERAL = {"kind": "unilateral_example"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # overflow in drawn coefficients
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fuzz=run_configs())
+# the configs that once ended in exit 70 or in a wrong verdict
+@_fuzz_example("norms", family=UNILATERAL, elements=[ZBAR], t_grid=[0.5],
+               truncation={"tail_tol": 1e-3})
+@_fuzz_example("inverse", family=UNILATERAL, t_grid=[0.5], truncation={"tail_tol": 1e-3},
+               element=[{"side": "f", "n": 1, "fn": 5}])
+@_fuzz_example("uniform-bound", family=UNILATERAL, t_grid=[0.5],
+               truncation={"tail_tol": 1e-3}, elements=[[{"side": "f", "n": 1, "fn": 5}]])
+@_fuzz_example("norms", family=UNILATERAL, t_grid=[0.5], truncation={"tail_tol": 1e-3},
+               element=[{"side": "diag", "kind": "half_power", "coeffs": [1.0],
+                         "min_power": 1e20}])
+@_fuzz_example("parametrix", family=UNILATERAL, t_grid=[0.5],
+               truncation={"tail_tol": 1e-3},
+               element=[{"side": "diag", "kind": "half_power", "coeffs": [1.0],
+                         "min_power": -10**20}])
+@_fuzz_example("inverse", family=UNILATERAL, element=F1, qt_kernel="printed",
+               t_grid=[0.5], truncation={"tail_tol": 1e-3}, expect_failure="false")
+@_fuzz_example("check-weights", family={"kind": "bilateral_rational", "alpha": 1, "beta": 0.5},
+               weights_check={"window": [-3, 200], "tail_index": 50})
+def test_every_config_ends_in_a_documented_outcome(fuzz):
+    experiment, text = fuzz
+    try:
+        parse_config(text, experiment=experiment)
+        parses = True
+    except (ConfigSyntaxError, ConfigInvalidError):
+        parses = False
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile, out = Path(tmp) / "run.json", Path(tmp) / "out"
+        cfgfile.write_text(text)
+        code = main([experiment, "--config", str(cfgfile), "--out", str(out)])
+        assert code in (EXIT_OK, 2, EXIT_NUMERICAL, EXIT_PROPERTY, EXIT_SYNTAX, EXIT_INVALID)
+        if parses:
+            status = json.loads((out / "manifest.json").read_text())["status"]
+            assert (status == "ok") == (code == EXIT_OK), status
+            # a config that parses runs: only a platform without an extended
+            # np.longdouble ends one in 65
+            assert code != EXIT_INVALID or "longdouble" in status, status
+        else:
+            assert code in (EXIT_SYNTAX, EXIT_INVALID) and not out.exists()
