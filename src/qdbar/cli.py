@@ -84,15 +84,19 @@ class RunConfig:
 
     def family(self):
         spec = self.data["family"]
-        return make_family(spec["kind"], alpha=spec.get("alpha"),
+        return make_family(spec.get("kind"), alpha=spec.get("alpha"),
                            beta=spec.get("beta"), domain=spec.get("domain"))
 
     def element(self):
         return make_element(self.data["element"])
 
     def element_list(self):
-        specs = self.data.get("elements") or [self.data["element"]]
-        return [make_element(s) for s in specs]
+        specs = self.data.get("elements")
+        if not specs:       # absent or empty: the one `element`
+            return [self.element()]
+        if not isinstance(specs, list):
+            raise ParameterError(f"elements must be a list of band specs, got {specs!r}")
+        return [make_element(spec, f"elements[{j}]") for j, spec in enumerate(specs)]
 
     def t_grid(self):
         g = self.data["t_grid"]
@@ -208,6 +212,28 @@ def _continuity_settings(config):
     return float(t_lo), float(t_hi), steps
 
 
+def _check_grid(grid):
+    """Validate a t_grid object in place, sorting explicit values downwards."""
+    if not isinstance(grid, dict):
+        raise ConfigInvalidError("t_grid must be a list or an object")
+    if grid.get("kind") == "explicit":
+        values = grid.get("values")
+        if not (isinstance(values, list) and 0 < len(values) <= MAX_STEPS
+                and all(_is_number(v) and 0 < v < 1 for v in values)):
+            raise ConfigInvalidError(
+                f"explicit t_grid values must be 1 to {MAX_STEPS} numbers in (0, 1)")
+        grid["values"] = sorted(float(v) for v in values)[::-1]
+    elif grid.get("kind") == "geometric":
+        if not all(_is_number(grid.get(key)) and 0 < grid[key] < 1
+                   for key in ("head", "ratio")):
+            raise ConfigInvalidError("geometric t_grid head and ratio must be numbers in (0, 1)")
+        if not (_is_positive_int(grid.get("count")) and grid["count"] <= MAX_STEPS):
+            raise ConfigInvalidError(f"geometric t_grid count must be an integer in "
+                                     f"[1, {MAX_STEPS}], got {grid.get('count')!r}")
+    else:
+        raise ConfigInvalidError("t_grid.kind must be 'geometric' or 'explicit'")
+
+
 def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     """Parse and validate a JSON run description, filling documented defaults."""
     try:
@@ -240,26 +266,6 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
         raise ConfigInvalidError(
             f"experiment must be one of {EXPERIMENTS}, got {data.get('experiment')!r}")
 
-    grid = data["t_grid"]
-    if not isinstance(grid, dict):
-        raise ConfigInvalidError("t_grid must be a list or an object")
-    if grid.get("kind") == "explicit":
-        values = grid.get("values")
-        if not (isinstance(values, list) and 0 < len(values) <= MAX_STEPS
-                and all(_is_number(v) and 0 < v < 1 for v in values)):
-            raise ConfigInvalidError(
-                f"explicit t_grid values must be 1 to {MAX_STEPS} numbers in (0, 1)")
-        grid["values"] = sorted(float(v) for v in values)[::-1]
-    elif grid.get("kind") == "geometric":
-        if not all(_is_number(grid.get(key)) and 0 < grid[key] < 1
-                   for key in ("head", "ratio")):
-            raise ConfigInvalidError("geometric t_grid head and ratio must be numbers in (0, 1)")
-        if not (_is_positive_int(grid.get("count")) and grid["count"] <= MAX_STEPS):
-            raise ConfigInvalidError(f"geometric t_grid count must be an integer in "
-                                     f"[1, {MAX_STEPS}], got {grid.get('count')!r}")
-    else:
-        raise ConfigInvalidError("t_grid.kind must be 'geometric' or 'explicit'")
-
     if data["output"]["format"] not in ("csv", "json"):
         raise ConfigInvalidError("output.format must be 'csv' or 'json'")
     if not isinstance(data["output"]["directory"], str):
@@ -278,23 +284,30 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     # semantic validation: build every object the driver reads once before running
     exp = _TABLE[data["experiment"]]
     config = RunConfig(data=data)
-    ts = config.t_grid()
-    if not (ts[-1] > 0 and all(a > b for a, b in zip(ts, ts[1:]))):
-        raise ConfigInvalidError("t_grid points must be distinct, and a geometric "
-                                 f"grid must not underflow to 0, got {ts!r}")
+    if "t_grid" in exp.reads:
+        _check_grid(data["t_grid"])
+        ts = config.t_grid()
+        if not (ts[-1] > 0 and all(a > b for a, b in zip(ts, ts[1:]))):
+            raise ConfigInvalidError("t_grid points must be distinct, and a geometric "
+                                     f"grid must not underflow to 0, got {ts!r}")
+    if not isinstance(data.get("family"), dict):
+        raise ConfigInvalidError(f"family must be an object, got {data.get('family')!r}")
     try:
         config.family()
         if exp.section is not None:
             config = replace(config, settings=exp.section(config))
-        if exp.reads is not None:
+        for key in ("element", "elements"):
+            if key not in exp.reads:
+                continue
             # element_list falls back to [element] when `elements` is absent
-            if exp.reads not in data and "element" not in data:
-                raise ParameterError(f"config needs an {exp.reads!r} band spec")
-            elems = config.element_list() if exp.reads == "elements" else [config.element()]
+            if key not in data and "element" not in data:
+                raise ParameterError(f"config needs an {key!r} band spec")
+            elems = config.element_list() if key == "elements" else [config.element()]
             n_max = max(elem.N for elem in elems)
             if n_max > MAX_BAND:
                 raise ParameterError(f"element band index N={n_max} exceeds the cap {MAX_BAND}")
-        config.qt_mode()
+        if "qt_kernel" in exp.reads:
+            config.qt_mode()
     except (ParameterError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigInvalidError(f"invalid config: {exc}") from exc
     return config
@@ -444,13 +457,14 @@ def _run_uniform_bound(config, points):
 class Experiment:
     """One CLI experiment: its driver, its report columns, the checker of its
     own config section (config -> the settings tuple its driver reads back)
-    and which element accessor its driver calls: "element" (RunConfig.element),
-    "elements" (RunConfig.element_list) or None."""
+    and the other config keys its driver reads, which parse_config checks:
+    "t_grid", "qt_kernel", and "element" (RunConfig.element) or "elements"
+    (RunConfig.element_list)."""
 
     driver: Callable
     columns: tuple
     section: Callable | None = None
-    reads: str | None = None
+    reads: tuple = ()
 
 
 _TABLE = {
@@ -460,24 +474,26 @@ _TABLE = {
          "h3_closed_delta_max", "trace_deviation", "trace_tail_bound",
          "limit_deviation_hi", "monotone", "positive", "wconst",
          "wconst_identity_delta"),
-        section=_weights_check_settings),
+        section=_weights_check_settings, reads=("t_grid",)),
     "norms": Experiment(
         _run_norms, ("t", "k_hi", "quantum_norm", "classical_norm", "abs_error",
-                     "tail_bound"), reads="element"),
+                     "tail_bound"), reads=("t_grid", "element")),
     "parametrix": Experiment(
         _run_parametrix, ("t", "k_hi", "parametrix_error", "tail_bound"),
-        reads="element"),
+        reads=("t_grid", "qt_kernel", "element")),
     "inverse": Experiment(
-        _run_inverse, ("t", "k_hi", "residual", "bound", "status"), reads="element"),
+        _run_inverse, ("t", "k_hi", "residual", "bound", "status"),
+        reads=("t_grid", "qt_kernel", "element")),
     "schur": Experiment(
         _run_schur, ("kind", "n", "t", "schur_bound", "analytic_cap",
-                     "norm_estimate", "converged", "ok"), section=_schur_settings),
+                     "norm_estimate", "converged", "ok"), section=_schur_settings,
+        reads=("t_grid", "qt_kernel")),
     "continuity": Experiment(
         _run_continuity, tuple(f.name for f in fields(ContinuityRow)),
-        section=_continuity_settings, reads="element"),
+        section=_continuity_settings, reads=("element",)),
     "uniform-bound": Experiment(
         _run_uniform_bound, tuple(f.name for f in fields(UniformBoundRow)),
-        reads="elements"),
+        reads=("t_grid", "qt_kernel", "elements")),
 }
 
 EXPERIMENTS = tuple(_TABLE)

@@ -25,11 +25,20 @@ A walk allocates its buffers once, on its first block, and refills them for
 every later block: the weights, the coefficient samples and the band
 weights mu_b of a block overwrite those of the block before.  So the arrays
 a walk yields for one block are valid only until the walk resumes.
+
+lambda_norm_sq cuts the same blocks but splits them between two workers
+where the process may run on two CPUs (`_block_partials`): the caller and
+one thread, each with its own buffers.  A block's per-band sums depend on
+no other block, so the workers compute them in any order and the caller
+adds them up in block order after both are done: the norms are the same
+floats at one worker or two.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -350,31 +359,34 @@ class LambdaElement:
         return out
 
 
-def make_element(band_spec) -> LambdaElement:
+def make_element(band_spec, name: str = "element") -> LambdaElement:
     """Build a canonical element from a band spec list.
 
     Entries are {side: f|g|diag, n, fn} (or kind/coeffs in place of fn); side
     f with n is band b = n, side g with n is band b = -n.  f/g entries with
     n = 0 are diagonal contributions and are merged into the single band
-    b = 0; duplicate (side, n) pairs are rejected.
+    b = 0; duplicate (side, n) pairs are rejected.  Error messages call the
+    spec `name` and its entries name[i].
     """
-    if not band_spec:
-        raise ParameterError("empty band spec")
+    if not (isinstance(band_spec, (list, tuple)) and band_spec):
+        raise ParameterError(f"{name} must be a nonempty list of band entries, got {band_spec!r}")
     seen = set()
     by_band = {}
-    for entry in band_spec:
-        side = entry["side"]
+    for i, entry in enumerate(band_spec):
+        if not isinstance(entry, dict):
+            raise ParameterError(f"{name}[{i}] must be an object, got {entry!r}")
+        side = entry.get("side")
         n = entry.get("n", 0)
         if side not in ("f", "g", "diag"):
-            raise ParameterError(f"unknown band side {side!r}")
+            raise ParameterError(f"{name}[{i}].side must be 'f', 'g' or 'diag', got {side!r}")
         if not (is_integer(n) and n >= 0):
-            raise ParameterError(f"band index n must be a nonnegative integer, got {n!r}")
+            raise ParameterError(f"{name}[{i}].n must be a nonnegative integer, got {n!r}")
         n = int(n)
         if side == "diag" and n != 0:
-            raise ParameterError("diagonal entries must have n = 0")
+            raise ParameterError(f"{name}[{i}] is diagonal and must have n = 0")
         key = (side, n)
         if key in seen:
-            raise ParameterError(f"duplicate band for side={side!r}, n={n}")
+            raise ParameterError(f"{name}[{i}] is a duplicate band side={side!r}, n={n}")
         seen.add(key)
         b = -n if side == "g" else n
         by_band[b] = _add_coeffs(by_band.get(b), _coeff_from_spec(entry))
@@ -591,7 +603,9 @@ class _NormSums:
     Each element keeps its own running total, which each block adds to band
     by band in `bands()` order.  mu_n is computed once per block for every
     band offset n, and serves f_n and g_n of every element.  `halo` is the
-    widest offset; `add` takes each block of a walk with at least that halo.
+    widest offset; a block of a walk with at least that halo goes through
+    `partial`, which only reads, and then `fold`, which adds to the totals:
+    `add` does both, and blocks computed out of order are folded in order.
     """
 
     def __init__(self, elems, K: int):
@@ -603,37 +617,113 @@ class _NormSums:
             for pos, (n, coeff) in enumerate(bands):
                 self.by_offset.setdefault(n, []).append((e, pos, coeff))
         self.halo = max(self.by_offset, default=0)
-        self._mu, self._c, self._work, self._prod = np.empty((4, min(BLOCK, K)))
+        self._bufs = None
 
-    def add(self, i: int, L: int, arrays: _WindowArrays):
+    def partial(self, i: int, L: int, arrays: _WindowArrays, bufs) -> dict:
+        """{(element, band position): the block's sum}; `bufs` is (mu, c, work),
+        three arrays of at least L entries the sums are computed in."""
+        mu_buf, c_buf, work = bufs
         sums = {}
         for n, users in self.by_offset.items():
             m = min(L, self.K - n - i)   # band n's columns in this block
             if m <= 0:
                 continue
-            mu = band_weight(arrays.s, 0, n, m, out=self._mu[:m])
+            mu = band_weight(arrays.s, 0, n, m, out=mu_buf[:m])
             for e, pos, coeff in users:
-                c = _sample(coeff, arrays.w_sq[:m], self._c[:m], self._work[:m])
-                prod = np.multiply(mu, c, out=self._prod[:m])
+                c = _sample(coeff, arrays.w_sq[:m], c_buf[:m], work[:m])
+                prod = np.multiply(mu, c, out=work[:m])   # the sample's work is spent
                 prod *= c
                 sums[e, pos] = float(np.sum(prod))
+        return sums
+
+    def fold(self, sums: dict):
         for e, pos in sorted(sums):     # each element's bands in bands() order
             self.totals[e] += sums[e, pos]
+
+    def add(self, i: int, L: int, arrays: _WindowArrays):
+        if self._bufs is None:
+            self._bufs = np.empty((3, min(BLOCK, self.K)))
+        self.fold(self.partial(i, L, arrays, self._bufs))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_partials(sums: _NormSums, family: WeightFamily, t: float,
+                    window: IndexWindow) -> list:
+    """sums.partial of every block of the window, in block order.
+
+    min(2, _cpus(), blocks) workers, the caller and at most one thread,
+    take block numbers from one counter.  Each fills its own _WindowArrays
+    and two more buffers, mu and c; c holds the block's indices until the
+    coefficients are sampled into it.  A worker's exception stops the other
+    before its next block, and the exception of the lowest failed block is
+    raised: every lower block was taken, so it is the one a walk in block
+    order would raise.
+    """
+    k_lo, size = window.k_lo, window.size
+    blocks = -(-size // BLOCK)
+    cap = min(BLOCK, size) + sums.halo
+    steps = np.arange(cap, dtype=np.float64)      # read by every worker
+    parts, errors = [None] * blocks, {}
+    todo, lock = iter(range(blocks)), threading.Lock()
+
+    def work():
+        arrays = None
+        mu, c = np.empty((2, cap))
+        while True:
+            with lock:
+                j = None if errors else next(todo, None)
+            if j is None:
+                return
+            i = j * BLOCK
+            L = min(BLOCK, size - i)
+            start, stop = k_lo + i, k_lo + i + L + sums.halo
+            try:
+                k = np.add(steps[:stop - start], start, out=c[:stop - start])   # exact
+                if arrays is None:
+                    arrays = _WindowArrays(family, t, start, stop, capacity=cap, k=k)
+                else:
+                    arrays.fill(start, stop, k)
+                # the norms never read w, so its buffer is free work space
+                parts[j] = sums.partial(i, L, arrays, (mu, c, arrays._w_buf))
+            except BaseException as exc:    # raised by the caller after the join
+                with lock:
+                    errors[j] = exc
+                return
+
+    helper = threading.Thread(target=work) if min(2, _cpus(), blocks) > 1 else None
+    if helper is not None:
+        helper.start()
+    try:
+        work()
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return parts
 
 
 def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
                    window: IndexWindow) -> float:
     """Quantum norm squared of the element, streamed without realizing it.
 
-    Evaluates the banded double sum directly, block by block (`_blocks`), so
-    windows of 10^7-10^8 indices need O(BLOCK x bands) memory.  Matches
-    realize + quantum_norm to rounding.
+    Evaluates the banded double sum directly, block by block, so windows of
+    10^7-10^8 indices need O(BLOCK x bands) memory.  The blocks' sums are
+    computed by two workers where two CPUs are free (`_block_partials`) and
+    added up in block order, so the result does not depend on the number of
+    workers.  Matches realize + quantum_norm to rounding.
     """
     sums = _NormSums([elem], window.size)
     if not sums.by_offset:
         return 0.0
-    for i, L, arrays in _blocks(family, t, window.k_lo, window.k_hi, sums.halo):
-        sums.add(i, L, arrays)
+    for part in _block_partials(sums, family, t, window):
+        sums.fold(part)
     return sums.totals[0]
 
 

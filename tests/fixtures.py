@@ -190,9 +190,9 @@ def run_configs(draw):
               "truncation": {"tail_tol": 10.0 ** draw(st.floats(-6.0, -0.5)),
                              "k_cap": round(FUZZ_K_CAP ** draw(st.floats(0.0, 1.0)))},
               **draw(_sections(experiment, family))}
-    reads = cli._TABLE[experiment].reads
-    if reads is not None:
-        config[reads] = draw(elements.pop(reads))
+    for key in ("element", "elements"):
+        if key in cli._TABLE[experiment].reads:
+            config[key] = draw(elements.pop(key))
     optional = {
         **elements,
         "experiment": st.just(experiment),

@@ -179,6 +179,40 @@ class TestParseConfig:
         assert main([experiment, "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("extra, field", [
+        ({"family": None}, "family must be an object"),
+        ({"element": [{"n": 1, "kind": "poly", "coeffs": [1.0]}]}, r"element\[0\]\.side"),
+        ({"element": 5}, "element must be a nonempty list"),
+        ({"experiment": "uniform-bound", "elements": [ZBAR, [5]]}, r"elements\[1\]\[0\]"),
+    ], ids=["family-null", "band-without-side", "element-number", "elements-entry-number"])
+    def test_invalid_structure_names_the_field(self, tmp_path, capsys, extra, field):
+        text = minimal_config(**extra)
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(text)
+        assert main([json.loads(text)["experiment"], "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == EXIT_INVALID
+        assert re.search(field, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("experiment, unread", [
+        ("continuity", {"t_grid": [0.5, 0.2, 0.5]}),
+        ("continuity", {"t_grid": "x", "qt_kernel": "x"}),
+        ("check-weights", {"qt_kernel": "x"}),
+    ], ids=["continuity-t_grid-repeats", "continuity-t_grid-and-kernel-str",
+            "check-weights-kernel-str"])
+    def test_keys_the_driver_does_not_read_are_not_checked(self, tmp_path, experiment, unread):
+        # the run ends as it does without the key, in its own exit code
+        base = {"experiment": experiment, "family": {"kind": "unilateral_example"},
+                "element": ZBAR, "t_grid": [0.5], "truncation": {"tail_tol": 1e-3},
+                "continuity": {"t_lo": 0.3, "t_hi": 0.6, "steps": 2},
+                "weights_check": {"window": [0, 200], "tail_index": 50}}
+        codes = []
+        for cfg in (base, {**base, **unread}):
+            cfgfile = tmp_path / "run.json"
+            cfgfile.write_text(json.dumps(cfg))
+            codes.append(main([experiment, "--config", str(cfgfile),
+                               "--out", str(tmp_path / "o")]))
+        assert codes[0] == codes[1] != EXIT_INVALID
+
     def test_expect_failure_string_is_invalid(self, tmp_path):
         # "false" is a truthy string: read as a flag it would turn the printed
         # f_1 violation (residual 0.301, bound 0.0129) into an expected failure
@@ -552,6 +586,10 @@ UNILATERAL = {"kind": "unilateral_example"}
                t_grid=[0.5], truncation={"tail_tol": 1e-3}, expect_failure="false")
 @_fuzz_example("check-weights", family={"kind": "bilateral_rational", "alpha": 1, "beta": 0.5},
                weights_check={"window": [-3, 200], "tail_index": 50})
+# the configs that once ended in exit 65 on a key their driver does not read
+@_fuzz_example("continuity", family=UNILATERAL, element=ZBAR, t_grid=[0.5, 0.2, 0.5],
+               truncation={"tail_tol": 1e-3}, continuity={"t_lo": 0.3, "t_hi": 0.6,
+                                                           "steps": 2})
 def test_every_config_ends_in_a_documented_outcome(fuzz):
     experiment, text = fuzz
     try:

@@ -1,13 +1,19 @@
 import math
+import sys
+import threading
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import admissible_families, band_specs
+from qdbar import elements
 from qdbar.elements import (
-    BandMatrix, LambdaElement, PowerSum, Transform, classical_norm,
+    BandMatrix, LambdaElement, PowerSum, Transform, _blocks, _NormSums, classical_norm,
     coordinate_element, lambda_norm_sq, make_element, quantum_norm,
     realize_quantum, truncation_window, window_from_range,
 )
@@ -15,7 +21,7 @@ from qdbar.errors import (
     CapabilityError, DivergentIntegralError, ParameterError, WindowResourceError,
 )
 from qdbar.quadrature import integrate
-from qdbar.weights import make_family
+from qdbar.weights import Domain, make_family
 
 
 def disk():
@@ -262,6 +268,137 @@ class TestQuantumNorm:
         streamed = lambda_norm_sq(e, fam, t, win)
         realized = quantum_norm(realize_quantum(e, fam, t, win), fam, t) ** 2
         assert streamed == pytest.approx(realized, rel=1e-13)
+
+
+def sequential_norm_sq(elem, fam, t, win):
+    """lambda_norm_sq as one walk in block order: _blocks and _NormSums.add."""
+    sums = _NormSums([elem], win.size)
+    if not sums.by_offset:
+        return 0.0
+    for i, L, arrays in _blocks(fam, t, win.k_lo, win.k_hi, sums.halo):
+        sums.add(i, L, arrays)
+    return sums.totals[0]
+
+
+def norm_sq_at(workers, *args):
+    """lambda_norm_sq with the CPU count, and so the worker count, forced."""
+    with mock.patch.object(elements, "_cpus", lambda: workers):
+        return lambda_norm_sq(*args)
+
+
+@st.composite
+def multi_block_cases(draw):
+    """(family, t, element, block, window) with a window of 2 to 8 blocks."""
+    fam = draw(admissible_families())
+    t = draw(st.floats(0.05, 1.0, exclude_max=True))
+    block = draw(st.integers(1, 16))
+    size = draw(st.integers(block + 1, 8 * block))
+    k_lo = 0 if fam.domain is Domain.DISK else draw(st.integers(-30, 30))
+    win = window_from_range(fam, t, k_lo, k_lo + size - 1)
+    return fam, t, make_element(draw(band_specs())), block, win
+
+
+class TestNormWorkers:
+    """lambda_norm_sq's two workers add the blocks up in block order; the
+    mutants that fold the blocks in the order they finish, or that share one
+    set of buffers between the workers, fail these tests."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=multi_block_cases())
+    def test_worker_count_does_not_change_the_bits(self, case):
+        fam, t, elem, block, win = case
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # interleave the workers often
+        try:
+            with mock.patch.object(elements, "BLOCK", block):
+                want = sequential_norm_sq(elem, fam, t, win)
+                assert norm_sq_at(1, elem, fam, t, win) == want
+                assert norm_sq_at(2, elem, fam, t, win) == want
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_worker_count_does_not_change_the_bits_of_a_long_window(self):
+        # the norms-stream annulus window at its smallest t
+        fam, t = annulus(), 0.03125
+        win = truncation_window(fam, t, 1e-5)
+        assert (win.size, math.ceil(win.size / elements.BLOCK)) == (3_199_937, 49)
+        want = sequential_norm_sq(mixed_element(), fam, t, win)
+        assert norm_sq_at(1, mixed_element(), fam, t, win) == want
+        assert norm_sq_at(2, mixed_element(), fam, t, win) == want
+
+    @staticmethod
+    def failing_element(fam, t, win, fails):
+        """An element whose callable band raises ValueError("block at p") on
+        the block from window position p on when fails(p) is true."""
+        w_sq = fam.weight_sq(t, np.arange(win.k_lo, win.k_hi + 1))
+
+        def coeff(s):
+            first = int(np.searchsorted(w_sq, s[0]))
+            if fails(first):
+                raise ValueError(f"block at {first}")
+            return s
+
+        return LambdaElement({0: PowerSum.poly([1.0]), 1: coeff})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_lowest_failed_block_raises(self, monkeypatch, workers):
+        monkeypatch.setattr(elements, "BLOCK", 4)
+        fam, t = disk(), 0.3
+        win = window_from_range(fam, t, 0, 40)
+        elem = self.failing_element(fam, t, win, lambda first: first >= 8)
+        with pytest.raises(ValueError, match="^block at 8$"):
+            sequential_norm_sq(elem, fam, t, win)
+        with pytest.raises(ValueError, match="^block at 8$"):
+            norm_sq_at(workers, elem, fam, t, win)
+
+    def test_an_error_of_the_helper_thread_reaches_the_caller(self, monkeypatch):
+        # the caller's first block waits until the helper has taken one, and
+        # every block the helper takes fails
+        monkeypatch.setattr(elements, "BLOCK", 4)
+        fam, t = disk(), 0.3
+        win = window_from_range(fam, t, 0, 40)
+        helper_failed, failed = threading.Event(), []
+
+        def fails(first):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_failed.wait(timeout=30)
+                return False
+            failed.append(first)
+            helper_failed.set()
+            return True
+
+        elem = self.failing_element(fam, t, win, fails)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as got:
+            norm_sq_at(2, elem, fam, t, win)
+        assert failed and str(got.value) == f"block at {failed[0]}"
+        assert threading.active_count() == before
+        assert norm_sq_at(2, mixed_element(), fam, t, win) == \
+            sequential_norm_sq(mixed_element(), fam, t, win)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_does_not_grow_with_the_window(self, workers):
+        # each worker holds five block-sized float64 arrays (w^2, S, the work
+        # array, mu and c) and the workers share the block's index steps, so
+        # 2 blocks and 16 peak alike; at two workers how much of the helper's
+        # buffers overlap the caller's on 2 blocks depends on timing
+        fam = disk()
+        wins = [truncation_window(fam, 0.5, tol) for tol in (2e-5, 2e-6)]
+        assert [math.ceil(win.size / elements.BLOCK) for win in wins] == [2, 16]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for win in wins:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                norm_sq_at(workers, mixed_element(), fam, 0.5, win)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= (5 * workers + 1.5) * 8 * elements.BLOCK, peaks
+        if workers == 1:
+            assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestClassicalNorm:
