@@ -14,24 +14,22 @@ The quantum norm is the weighted trace norm  tr(S^(1/2) a S^(1/2) a*)^(1/2);
 the classical norm is L^2 with respect to d(r^2) x (dphi / 2 pi).  Both are
 implemented band-wise with deterministic summation order.
 
-Streamed band primitives walk the window with `_blocks` in fixed blocks of
-BLOCK indices, bottom-up or top-down.  Each block evaluates w^2 and S once
-for all bands, over the block and the halo of indices its band offsets read,
-so the working set is O(BLOCK x bands) whatever the window size; only the
-output bands a caller asks for are window-sized.  The block size and the
-walk order are fixed, so every sum comes out the same on every run.
+Streamed band primitives walk the window in fixed blocks of BLOCK indices,
+bottom-up or top-down.  Each block evaluates w^2 and S once for all bands,
+over the block and the halo of indices its band offsets read, so the
+working set is O(BLOCK x bands) whatever the window size; only the output
+bands a caller asks for are window-sized.  The block size and the walk
+order are fixed, so every sum comes out the same on every run.
 
-A walk allocates its buffers once, on its first block, and refills them for
-every later block: the weights, the coefficient samples and the band
-weights mu_b of a block overwrite those of the block before.  So the arrays
-a walk yields for one block are valid only until the walk resumes.
-
-lambda_norm_sq cuts the same blocks but splits them between two workers
-where the process may run on two CPUs (`_block_partials`): the caller and
-one thread, each with its own buffers.  A block's per-band sums depend on
-no other block, so the workers compute them in any order and the caller
-adds them up in block order after both are done: the norms are the same
-floats at one worker or two.
+The blocks of a walk are split between two workers where the process may
+run on two CPUs (`_ordered_blocks`): the caller and one thread, taking
+block numbers in walk order from one counter.  Each worker has its own
+buffers, allocated once per walk, and refills them for every block.
+A block's partial sums are returned in block order and added up by the
+caller, and a value one block needs from the block before (the carry of a
+Q_t scan in qdbar.operators) is handed on through a `_Relay` as soon as
+it is ready.  So lambda_norm_sq and the Q_t walks give the same floats at
+one worker or two.
 """
 
 from __future__ import annotations
@@ -495,21 +493,18 @@ class BandMatrix:
 
 
 class _WindowArrays:
-    """w^2, S and (on first use) w = sqrt(w^2) over indices [start, stop).
+    """w^2, S and (on first use) w = sqrt(w^2) over a range of indices.
 
-    Band-level primitives build one per call (one per walk when streaming)
-    and slice it for every band instead of re-evaluating the weights per
-    band.  The arrays live in buffers of `capacity` entries (stop - start by
-    default) allocated once: `fill` evaluates them over another range of at
-    most `capacity` indices in the same buffers.
+    Band-level primitives build one per call (one per walker when
+    streaming) and slice it for every band instead of re-evaluating the
+    weights per band.  The arrays live in buffers of `capacity` entries
+    allocated once: `fill` evaluates them over a range of at most
+    `capacity` indices, again and again in the same buffers.
     """
 
-    def __init__(self, family: WeightFamily, t: float, start: int, stop: int,
-                 dtype=np.float64, capacity: int | None = None, k=None):
-        size = stop - start if capacity is None else capacity
+    def __init__(self, family: WeightFamily, t: float, capacity: int, dtype=np.float64):
         self._family, self._t, self._dtype = family, t, dtype
-        self._w_sq, self._s, self._w_buf = (np.empty(size, dtype=dtype) for _ in range(3))
-        self.fill(start, stop, k)
+        self._w_sq, self._s, self._w_buf = (np.empty(capacity, dtype=dtype) for _ in range(3))
 
     def fill(self, start: int, stop: int, k=None) -> "_WindowArrays":
         """Evaluate over [start, stop) in place; earlier views see the new values.
@@ -531,33 +526,6 @@ class _WindowArrays:
         if self._w is None:
             self._w = np.sqrt(self.w_sq, out=self._w_buf[:self.w_sq.size])
         return self._w
-
-
-def _blocks(family: WeightFamily, t: float, k_lo: int, k_hi: int, halo: int,
-            reverse: bool = False, dtype=np.float64):
-    """Walk [k_lo, k_hi] in blocks of BLOCK indices: (i, L, arrays) per block.
-
-    The block holds the window positions [i, i + L) (indices k_lo + i on);
-    `arrays` covers them and the next `halo` indices, which band offsets
-    read.  Blocks are cut from k_lo up and visited bottom-up, or top-down
-    with `reverse`.  `arrays` is one _WindowArrays for the whole walk,
-    refilled for every block.
-    """
-    size = k_hi - k_lo + 1
-    cap = min(BLOCK, size) + halo
-    k = np.arange(cap, dtype=dtype) + k_lo    # k_lo + position; each block shifts it
-    starts = range(0, size, BLOCK)
-    arrays, shift = None, 0
-    for i in reversed(starts) if reverse else starts:
-        L = min(BLOCK, size - i)
-        k += i - shift      # integers, exact below 2^53
-        shift = i
-        n = L + halo
-        if arrays is None:
-            arrays = _WindowArrays(family, t, k_lo + i, k_lo + i + n, dtype, cap, k[:n])
-        else:
-            arrays.fill(k_lo + i, k_lo + i + n, k[:n])
-        yield i, L, arrays
 
 
 def band_weight(s: np.ndarray, i: int, b: int, length: int, out=None) -> np.ndarray:
@@ -598,14 +566,13 @@ def quantum_norm(a: BandMatrix, family: WeightFamily, t: float) -> float:
 
 
 class _NormSums:
-    """Quantum norms squared of elements, summed over one bottom-up walk.
+    """Quantum norms squared of elements, summed over the blocks of a window.
 
     Each element keeps its own running total, which each block adds to band
     by band in `bands()` order.  mu_n is computed once per block for every
     band offset n, and serves f_n and g_n of every element.  `halo` is the
-    widest offset; a block of a walk with at least that halo goes through
-    `partial`, which only reads, and then `fold`, which adds to the totals:
-    `add` does both, and blocks computed out of order are folded in order.
+    widest offset.  A block's sums (`partial`) only read, so the blocks can
+    be computed in any order; `fold` adds them to the totals in block order.
     """
 
     def __init__(self, elems, K: int):
@@ -617,20 +584,20 @@ class _NormSums:
             for pos, (n, coeff) in enumerate(bands):
                 self.by_offset.setdefault(n, []).append((e, pos, coeff))
         self.halo = max(self.by_offset, default=0)
-        self._bufs = None
 
-    def partial(self, i: int, L: int, arrays: _WindowArrays, bufs) -> dict:
-        """{(element, band position): the block's sum}; `bufs` is (mu, c, work),
-        three arrays of at least L entries the sums are computed in."""
+    def partial(self, i: int, L: int, w_sq, s, bufs) -> dict:
+        """{(element, band position): the block's sum}, from w^2 and S over
+        the block at window position i and its halo; `bufs` is (mu, c,
+        work), three arrays of at least L entries the sums are computed in."""
         mu_buf, c_buf, work = bufs
         sums = {}
         for n, users in self.by_offset.items():
             m = min(L, self.K - n - i)   # band n's columns in this block
             if m <= 0:
                 continue
-            mu = band_weight(arrays.s, 0, n, m, out=mu_buf[:m])
+            mu = band_weight(s, 0, n, m, out=mu_buf[:m])
             for e, pos, coeff in users:
-                c = _sample(coeff, arrays.w_sq[:m], c_buf[:m], work[:m])
+                c = _sample(coeff, w_sq[:m], c_buf[:m], work[:m])
                 prod = np.multiply(mu, c, out=work[:m])   # the sample's work is spent
                 prod *= c
                 sums[e, pos] = float(np.sum(prod))
@@ -640,11 +607,6 @@ class _NormSums:
         for e, pos in sorted(sums):     # each element's bands in bands() order
             self.totals[e] += sums[e, pos]
 
-    def add(self, i: int, L: int, arrays: _WindowArrays):
-        if self._bufs is None:
-            self._bufs = np.empty((3, min(BLOCK, self.K)))
-        self.fold(self.partial(i, L, arrays, self._bufs))
-
 
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -653,59 +615,77 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _block_partials(sums: _NormSums, family: WeightFamily, t: float,
-                    window: IndexWindow) -> list:
-    """sums.partial of every block of the window, in block order.
+class _Relay:
+    """Values each block of a walk hands on to the next block, put as they
+    are ready.  `errors` holds the exception of every failed block."""
 
-    min(2, _cpus(), blocks) workers, the caller and at most one thread,
-    take block numbers from one counter.  Each fills its own _WindowArrays
-    and two more buffers, mu and c; c holds the block's indices until the
-    coefficients are sampled into it.  A worker's exception stops the other
-    before its next block, and the exception of the lowest failed block is
+    def __init__(self):
+        self.lock = threading.Condition()
+        self.values, self.errors = {}, {}
+
+    def put(self, j: int, key, value):
+        """Hand `value` from block j on to block j + 1 under `key`."""
+        with self.lock:
+            self.values[j, key] = value
+            self.lock.notify_all()
+
+    def take(self, j: int, key):
+        """Block j - 1's value under `key`, once it is put.
+
+        Raises RuntimeError when block j - 1 failed instead, so block j
+        fails too and the lower block's exception is the one raised.
+        """
+        with self.lock:
+            self.lock.wait_for(lambda: (j - 1, key) in self.values or j - 1 in self.errors)
+            if j - 1 in self.errors:
+                raise RuntimeError(f"block {j - 1} failed")
+            return self.values.pop((j - 1, key))
+
+
+def _ordered_blocks(blocks: int, worker, window_blocks: int) -> list:
+    """The partials of blocks 0, ..., blocks - 1, in block order.
+
+    min(2, _cpus(), window_blocks) workers, the caller and at most one
+    thread, take block numbers from one counter; the walk of a window of
+    one block stays on the caller, where starting a thread and sharing the
+    interpreter with it costs more than the thread saves.  worker(relay)
+    gives a worker's function part(j), which computes block j's partial in
+    that worker's own buffers; blocks pass values on to the next block
+    through `relay` (a _Relay).  The caller makes both workers' functions,
+    so the buffers of both come from the caller's allocator arena and are
+    reused by its next walk.  A worker's exception stops the other before
+    its next block, and the exception of the lowest failed block is
     raised: every lower block was taken, so it is the one a walk in block
     order would raise.
     """
-    k_lo, size = window.k_lo, window.size
-    blocks = -(-size // BLOCK)
-    cap = min(BLOCK, size) + sums.halo
-    steps = np.arange(cap, dtype=np.float64)      # read by every worker
-    parts, errors = [None] * blocks, {}
-    todo, lock = iter(range(blocks)), threading.Lock()
+    relay, parts = _Relay(), [None] * blocks
+    todo = iter(range(blocks))
 
-    def work():
-        arrays = None
-        mu, c = np.empty((2, cap))
+    def run(part):
         while True:
-            with lock:
-                j = None if errors else next(todo, None)
+            with relay.lock:
+                j = None if relay.errors else next(todo, None)
             if j is None:
                 return
-            i = j * BLOCK
-            L = min(BLOCK, size - i)
-            start, stop = k_lo + i, k_lo + i + L + sums.halo
             try:
-                k = np.add(steps[:stop - start], start, out=c[:stop - start])   # exact
-                if arrays is None:
-                    arrays = _WindowArrays(family, t, start, stop, capacity=cap, k=k)
-                else:
-                    arrays.fill(start, stop, k)
-                # the norms never read w, so its buffer is free work space
-                parts[j] = sums.partial(i, L, arrays, (mu, c, arrays._w_buf))
+                parts[j] = part(j)
             except BaseException as exc:    # raised by the caller after the join
-                with lock:
-                    errors[j] = exc
+                with relay.lock:
+                    relay.errors[j] = exc
+                    relay.lock.notify_all()
                 return
 
-    helper = threading.Thread(target=work) if min(2, _cpus(), blocks) > 1 else None
-    if helper is not None:
+    helper = None
+    if min(2, _cpus(), window_blocks) > 1:
+        helper = threading.Thread(target=run, args=(worker(relay),))
         helper.start()
     try:
-        work()
+        run(worker(relay))
     finally:
         if helper is not None:
             helper.join()
-    if errors:
-        raise errors[min(errors)]
+    if relay.errors:
+        raise relay.errors[min(relay.errors)]
     return parts
 
 
@@ -715,14 +695,35 @@ def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
 
     Evaluates the banded double sum directly, block by block, so windows of
     10^7-10^8 indices need O(BLOCK x bands) memory.  The blocks' sums are
-    computed by two workers where two CPUs are free (`_block_partials`) and
+    computed by two workers where two CPUs are free (`_ordered_blocks`) and
     added up in block order, so the result does not depend on the number of
-    workers.  Matches realize + quantum_norm to rounding.
+    workers.  Each worker fills its own _WindowArrays and two more buffers,
+    mu and c; c holds the block's indices until the coefficients are
+    sampled into it.  Matches realize + quantum_norm to rounding.
     """
     sums = _NormSums([elem], window.size)
     if not sums.by_offset:
         return 0.0
-    for part in _block_partials(sums, family, t, window):
+    k_lo, size = window.k_lo, window.size
+    cap = min(BLOCK, size) + sums.halo
+    steps = np.arange(cap, dtype=np.float64)      # read by every worker
+
+    def worker(relay):
+        arrays = _WindowArrays(family, t, cap)
+        mu, c = np.empty((2, cap))
+
+        def part(j):
+            i = j * BLOCK
+            L = min(BLOCK, size - i)
+            n = L + sums.halo
+            k = np.add(steps[:n], k_lo + i, out=c[:n])      # exact integers
+            arrays.fill(k_lo + i, k_lo + i + n, k)
+            # the norms never read w, so its buffer is free work space
+            return sums.partial(i, L, arrays.w_sq, arrays.s, (mu, c, arrays._w_buf))
+        return part
+
+    blocks = -(-size // BLOCK)
+    for part in _ordered_blocks(blocks, worker, blocks):
         sums.fold(part)
     return sums.totals[0]
 

@@ -140,20 +140,21 @@ def inverse_residual(elem, family, t: float, window: IndexWindow,
     Where np.longdouble is no wider than float64 (MSVC, macOS arm64) it
     raises CapabilityError instead of returning a residual made of rounding.
 
-    Streams on the Q_t walk of qdbar.operators (dt_qt_residual), one walk
-    per sweep direction: the prefix bands c < 0 of Q_t x bottom-up, the
-    suffix bands c >= 0 top-down.
+    Streams on the Q_t walk of qdbar.operators (dt_qt_residual): the
+    prefix bands c < 0 of Q_t x bottom-up, then the suffix bands c >= 0
+    top-down, split between two workers where two CPUs are free.
     D_t maps Q_t band c to band c + 1 alone, so each block of a Q_t band
     gives that block's entries of D_t(Q_t x), less x sampled from float64
     w^2 as realize_quantum samples it, and their sup.  The one neighbour
-    D_t reads across a block edge belongs to the block the walk has just
-    left and is carried: A_c[col] and w(col + c) below it for c < 0,
-    A_c[col + 1] above it for c >= 0.  An entry is trusted one index or
-    more from either end of its band, the margin D_t adds, and only trusted
-    entries are computed.  Nothing window-sized is allocated.  The residual
-    is NaN when any trusted entry is, so a broken band fails the bound, and
-    otherwise the float of apply_Dt, realize_quantum and BandMatrix.trusted
-    chained over whole band matrices.
+    D_t reads across a block edge belongs to the block before it in its
+    sweep and is handed on with the scan's carry: A_c[col] below it for
+    c < 0, A_c[col + 1] above it for c >= 0.  An entry is trusted one index
+    or more from either end of its band, the margin D_t adds, and only
+    trusted entries are computed.  Nothing window-sized is allocated.  The
+    residual is NaN when any trusted entry is, so a broken band fails the
+    bound, and otherwise the float of apply_Dt, realize_quantum and
+    BandMatrix.trusted chained over whole band matrices, at one worker or
+    two.
     """
     if not LONGDOUBLE_EPS < np.finfo(np.float64).eps:
         raise CapabilityError(

@@ -20,29 +20,38 @@ hold identically on trusted entries.  The g-side is the same in both modes.
 Classically the modes correspond to the kernels r^(n-1)/rho^n and
 r^n/rho^(n+1) in the explicit inverse of d-bar.
 
-Q_t runs on the block walker of qdbar.elements in two sweeps: the prefix
-bands bottom-up and the suffix bands top-down.  Each block shares one set of
-weight arrays and consecutive-weight products among its bands, and each band
-scans the block with the running sum of the blocks before it folded into its
-first summand.  The additions are then exactly those of one whole-window
-cumulative sum, so the result does not depend on the block size.  One
-generator, _qt_walks, drives both sweeps of any number of elements, and
-every consumer of Q_t runs on it with a working set of O(BLOCK x bands):
-apply_Qt copies each block into its output bands, qt_norm_sq reduces it to
-a norm of Q_t x (less a realized element), norm_pairs_sq reduces the sweeps
-of many elements and their quantum norms on one walk per direction, and
-dt_qt_residual applies D_t to it.  The tests check apply_Qt against the
-literal O(K^2) double sums and qt_norm_sq against the realized band
-matrices.
+Q_t runs on the ordered block driver of qdbar.elements in two sweeps: the
+prefix bands bottom-up and the suffix bands top-down.  Each block shares one
+set of weight arrays and consecutive-weight products among its bands, and
+each band scans the block with the running sum of the block before it in
+its sweep (the carry) folded into its first summand.  The additions are
+then exactly those of one whole-window cumulative sum, so the result does
+not depend on the block size.  One walk, _qt_walks, drives both sweeps of
+any number of elements, and every consumer of Q_t runs on it with a working
+set of O(BLOCK x bands) per worker: apply_Qt copies each block into its
+output bands, qt_norm_sq reduces it to a norm of Q_t x (less a realized
+element), norm_pairs_sq reduces the sweeps of many elements and their
+quantum norms on one walk per direction, and dt_qt_residual applies D_t to
+it.  The tests check apply_Qt against the literal O(K^2) double sums and
+qt_norm_sq against the realized band matrices.
+
+The walk runs on two workers where the process may use two CPUs: the
+caller and one thread, each with its own buffers, taking blocks in walk
+order.  A block's weights, products, kernel factors, coefficient samples
+and summands depend on no other block.  Only the scan does, so each band
+waits for the block before's carry and edge entry (the entry D_t reads
+across the block edge), scans, hands its own on and is then reduced while
+the other worker goes on.  The consumers add up the blocks' partials in
+walk order, so every output is the same float at one worker or two.
 
 D_t maps each band to the next one alone, and _dt_band is its per-band
 formula: apply_Dt runs it on whole band matrices, and dt_qt_residual (the
 inverse residual of qdbar.limits) on each block of a Q_t sweep, so
 D_t(Q_t x) - x is reduced to its sup with no band matrix realized.
 
-A walk allocates its buffers (weights, products, kernel factors, scan
-values) once and refills them block by block, so the values a walk yields
-for one block are valid only until the walk resumes.
+A worker's buffers (weights, products, kernel factors, scan values) are
+allocated once per walk and refilled block by block, so the values a walk
+hands a consumer for one block are valid only until its worker moves on.
 """
 
 from __future__ import annotations
@@ -57,8 +66,8 @@ import numpy as np
 
 from . import elements
 from .elements import (
-    BandMatrix, IndexWindow, LambdaElement, PowerSum, Transform, _blocks,
-    _NormSums, _sample, _WindowArrays, band_weight,
+    BandMatrix, IndexWindow, LambdaElement, PowerSum, Transform, _NormSums,
+    _sample, _WindowArrays, band_weight,
 )
 from .errors import CapabilityError, ParameterError, WindowResourceError
 from .weights import WeightFamily
@@ -95,7 +104,7 @@ def apply_Dt(a: BandMatrix, family: WeightFamily, t: float) -> BandMatrix:
     # S(k_lo - 1) is never read; on the disk at t = 1 its masked formula
     # divides by zero.
     with np.errstate(divide="ignore"):
-        arrays = _WindowArrays(family, t, win.k_lo - 1, win.k_hi + 1, dtype)
+        arrays = _WindowArrays(family, t, K + 1, dtype).fill(win.k_lo - 1, win.k_hi + 1)
     w, s = arrays.w, arrays.s
     del arrays      # frees w^2, which the commutator does not use
     scratch = np.empty(K, dtype=dtype)
@@ -131,53 +140,50 @@ def dt_qt_residual(elem: LambdaElement, family: WeightFamily, t: float,
     Runs on the Q_t walk: D_t maps Q_t band c to band c + 1 alone, so each
     block of a Q_t band gives that block's entries of D_t(Q_t x), less x
     sampled from float64 w^2 as realize_quantum samples it.  The one
-    neighbour D_t reads across a block edge belongs to the block the walk
-    has just left and is carried: A_c[col] and w(col + c) below it for
-    c < 0, A_c[col + 1] above it for c >= 0.  An entry is trusted one index
-    or more from either end of its band, and only trusted entries are
-    computed.  The sup is NaN when any trusted entry is NaN; otherwise it is
+    neighbour D_t reads across a block edge belongs to the block before it
+    in its sweep and is handed on with the scan's carry: A_c[col] below the
+    block for c < 0, A_c[col + 1] above it for c >= 0; w(col + c) below it
+    is in the walk's weights, which start one index below the block.  An
+    entry is trusted one index or more from either end of its band, and
+    only trusted entries are computed.  Each block's sup is taken on the
+    worker that walks it, and np.maximum combines them, which is exact and
+    keeps a NaN: the sup is NaN when any trusted entry is NaN, otherwise
     the float of apply_Dt, realize_quantum and BandMatrix.trusted chained
-    over whole band matrices.
+    over whole band matrices, at one worker or two.
     """
-    K, ld = window.size, np.longdouble
-    n = min(elements.BLOCK, K)      # the walk's block size
-    # a block of a Q_t band with its neighbour across the edge, D_t of it, scratch
-    a, dt, scratch = np.empty((3, n + 1), dtype=ld)
-    k, w_sq, x, work = np.empty((4, n))     # float64 indices, w^2 and x
+    K = window.size
+    n = min(elements.BLOCK, K)
     steps = np.arange(n, dtype=np.float64)
-    # prefix side: w and S from one index below the block on, over the block
-    # and a halo of up to N + 3 (Q_t reaches band -(N + 1))
-    below = np.zeros((2, n + elem.N + 4), dtype=ld)
-    edge = {}       # Q_t band -> its entry across the next block edge
+
+    def reduce(rows):
+        dt, scratch = rows[:2]          # D_t of a band's block and its scratch
+        w_sq = np.empty(n)              # float64 w^2 of the block
+        # x and its work array in the bytes of the scratch row, which is
+        # spent once D_t is computed, where they fit (80-bit longdouble)
+        spare = scratch.view(np.float64)
+        x, work = (spare[:n], spare[n:2 * n]) if spare.size >= 2 * n else np.empty((2, n))
+
+        def block(suffix, i, L, arrays, outputs):
+            k = np.add(steps[:L], window.k_lo + i, out=x[:L])     # exact integers
+            family.weight_sq(t, k, out=w_sq[:L], work=work[:L])
+            sup = 0.0
+            for _, c, _, a in outputs:
+                # entry j at position i + j; trusted positions [1, K - |c + 1| - 1);
+                # its column's w and S sit at w[j + max(1, -c)]
+                lo, hi = max(i, 1) - i, min(L, K - abs(c + 1) - 1 - i)
+                size = hi - lo
+                if size <= 0:
+                    continue
+                d = _dt_band(c, a[lo:], arrays.w, arrays.s, lo + max(1, -c), size,
+                             scratch[:size], out=dt[:size])
+                d -= _sample(elem.by_band[c + 1], w_sq[lo:hi], x[:size], work[:size])
+                sup = np.maximum(sup, np.max(np.abs(d, out=d)))   # keeps a NaN
+            return sup
+        return block
+
     sup = 0.0
-    for suffix, i, L, arrays, outputs in _qt_walks([elem], family, t, window, mode, ld):
-        np.add(steps[:L], window.k_lo + i, out=k[:L])    # exact integers
-        family.weight_sq(t, k[:L], out=w_sq[:L], work=work[:L])
-        if suffix:
-            w, s = arrays.w, arrays.s
-        else:       # below[:, p] holds position i - 1 + p
-            below[:, 0] = below[:, n]   # the last block's top position (it had n)
-            below[0, 1:arrays.w.size + 1] = arrays.w
-            below[1, 1:arrays.s.size + 1] = arrays.s
-            w, s = below
-        for _, c, q in outputs:
-            m = q.size
-            if suffix:
-                a[:m], a[m] = q, edge.get(c, 0.0)      # A_c[col + 1] above the block
-                edge[c] = q[0]
-            else:
-                a[0], a[1:m + 1] = edge.get(c, 0.0), q    # A_c[col] below it
-                edge[c] = q[m - 1]
-            # entry j at position i + j; trusted positions [1, K - |c + 1| - 1);
-            # its column's w and S sit at w[j + max(0, -c)]
-            lo, hi = max(i, 1) - i, min(L, K - abs(c + 1) - 1 - i)
-            size = hi - lo
-            if size <= 0:
-                continue
-            d = _dt_band(c, a[lo:], w, s, lo + max(0, -c), size, scratch[:size],
-                         out=dt[:size])
-            d -= _sample(elem.by_band[c + 1], w_sq[lo:hi], x[:size], work[:size])
-            sup = np.maximum(sup, np.max(np.abs(d, out=d)))   # keeps a NaN
+    for part in _qt_walks([elem], family, t, window, mode, np.longdouble, reduce):
+        sup = np.maximum(sup, part)
     return float(sup)
 
 
@@ -210,36 +216,38 @@ def _consecutive_products(w: np.ndarray, length: int, out: np.ndarray):
         yield out[(n + 1) % 2]
 
 
-def _t1_parts(w, s, K, n, mode, p_n, p_next, work=(None, None, None)) -> _TParts:
+def _t1_parts(w, s, K, n, mode, p_n, p_next, work=(None, None)) -> _TParts:
     """Suffix kernel l^2_(n+1) -> l^2_n (input band f_(n+1), output band +n).
 
     w and s cover the window from k_lo on; p_n and p_next are the
     consecutive-weight products P_n and P_(n+1) over K + 1 columns.  `work`
-    holds buffers of K entries for a, b and nu, or None to allocate them.
+    holds buffers of K entries for b and nu, or None to allocate them; a is
+    a view of P_n, or computed in place in P_n's array once b is.
     """
     if n < 0:
         raise ParameterError("T1 band index must be >= 0")
-    a_out, b_out, nu_out = work
+    b_out, nu_out = work
     nu = band_weight(s, 0, n + 1, K, out=nu_out)
     if mode is QtKernelMode.CORRECTED:
         a = p_n[:K]                                            # w(k)...w(k+n-1)
         b = np.divide(1.0, p_next[:K], out=b_out)              # 1/(w(i)...w(i+n))
     else:
-        a = np.divide(p_n[1:K + 1], w[n:n + K], out=a_out)
         b = np.divide(1.0, p_n[1:K + 1], out=b_out)            # 1/(w(i+1)...w(i+n))
+        a = np.divide(p_n[1:K + 1], w[n:n + K], out=p_n[1:K + 1])
     return _TParts(a=a, b=b, nu=nu, direction="suffix")
 
 
-def _t2_parts(w, s, K, n, p_n, work=(None, None, None)) -> _TParts:
-    """Prefix kernel l^2_(n-1) -> l^2_n (input band g_(n-1), output band -n)."""
+def _t2_parts(w, s, K, n, p_n, work=(None, None)) -> _TParts:
+    """Prefix kernel l^2_(n-1) -> l^2_n (input band g_(n-1), output band -n).
+
+    a is computed in place in P_n's array, once b is."""
     if n < 1:
         raise ParameterError("T2 band index must be >= 1")
-    a_out, b_out, nu_out = work
+    b_out, nu_out = work
     nu = band_weight(s, 0, n - 1, K, out=nu_out)
     prod = p_n[:K]                                   # w(j)...w(j+n-1)
-    return _TParts(a=np.divide(1.0, prod, out=a_out),
-                   b=np.divide(prod, w[n - 1:n - 1 + K], out=b_out),
-                   nu=nu, direction="prefix")
+    b = np.divide(prod, w[n - 1:n - 1 + K], out=b_out)
+    return _TParts(a=np.divide(1.0, prod, out=prod), b=b, nu=nu, direction="prefix")
 
 
 def _scan(vals: np.ndarray, direction: str, out=None) -> np.ndarray:
@@ -266,67 +274,85 @@ class _QtSweep:
     Input band b feeds output band b - 1 through a prefix kernel (b <= 0),
     swept bottom-up, or a suffix kernel (b > 0, sign flipped), swept
     top-down.  Each band's scan starts from the last running sum of the
-    previous block (`carry`).
+    block before it in the sweep (its carry).
     """
 
     def __init__(self, elem: LambdaElement, suffix: bool):
         self.suffix = suffix
         self.coeffs = {abs(b - 1): c for b, c in elem.bands() if (b > 0) == suffix}
-        self.carry = dict.fromkeys(self.coeffs, -0.0)   # x + -0.0 == x, signed zeros too
         self.top = max(self.coeffs, default=-1)
 
-    def block(self, i, L, K, arrays, mode, bufs):
-        """(output band, values) for each input band, on the block at position i.
+    def block(self, i, L, K, arrays, mode, rows, take, put):
+        """(output band, values, padded) for each input band, on the block at position i.
 
-        `bufs` has six rows of at least L + 1 entries: the kernel factors a,
-        b and nu, the scan values and two rows of consecutive products.
-        `values`, a view of `bufs`, holds the output band at window positions
-        [i, i + values.size), each entry at its smaller index.  Positions
-        past the band's end are scanned, since their summands feed the
-        suffix sums, but not yielded.
+        `arrays` starts one index below the block.  `rows` has five rows of
+        at least L + 1 entries: the kernel factors b and nu, the values and
+        two of consecutive products (which also hold a).  Before its scan a
+        band n waits for take(key), the block before's carry and edge entry
+        under key (self, n), and hands its own on with put(key, carry, edge): the
+        edge entry is the band's first in the block for a suffix band, its
+        last for a prefix one, and 0.0 where the block holds none.
+        `values`, a view of rows[2], holds the output band at window
+        positions [i, i + values.size), each entry at its smaller index;
+        `padded` is `values` with the block before's edge entry in front
+        (prefix) or behind it (suffix, where `values` fills the block).
+        Positions past the band's end are scanned, since their summands feed
+        the suffix sums, but not yielded.
         """
         direction = "suffix" if self.suffix else "prefix"
         first, last = (-1, 0) if self.suffix else (0, -1)   # scan entry and exit
-        a_buf, b_buf, nu_buf, vals = bufs[:4, :L]
-        products = _consecutive_products(arrays.w, L + 1, bufs[4:, :L + 1])
+        w, s, w_sq = arrays.w[1:], arrays.s[1:], arrays.w_sq[1:L + 1]
+        b_row, nu_row, row = rows[0, :L], rows[1, :L], rows[2, :L + 1]
+        vals = row[:L] if self.suffix else row[1:]
+        products = _consecutive_products(w, L + 1, rows[3:, :L + 1])
         p_n = next(products)
         for n in range(self.top + 1):
             p_next = next(products)
             coeff = self.coeffs.get(n)
             if coeff is not None:
-                parts = _t1_parts(arrays.w, arrays.s, L, n, mode, p_n, p_next,
-                                  (a_buf, b_buf, nu_buf)) if self.suffix \
-                    else _t2_parts(arrays.w, arrays.s, L, n, p_n, (a_buf, b_buf, nu_buf))
+                parts = _t1_parts(w, s, L, n, mode, p_n, p_next, (b_row, nu_row)) \
+                    if self.suffix else _t2_parts(w, s, L, n, p_n, (b_row, nu_row))
                 np.multiply(parts.b, parts.nu, out=vals)
                 # b and nu are spent: the coefficient samples go into their rows
-                vals *= _sample(coeff, arrays.w_sq[:L], b_buf, nu_buf)
-                vals[first] += self.carry[n]
+                vals *= _sample(coeff, w_sq, b_row, nu_row)
+                carry, across = take((self, n))
+                vals[first] += carry
                 _scan(vals, direction, out=vals)
-                self.carry[n] = vals[last]
                 m = min(L, K - n - i)   # band +-n's columns in this block
+                a = parts.a
+                edge = 0.0 if m <= 0 else -(vals[0] * a[0]) if self.suffix \
+                    else vals[m - 1] * a[m - 1]
+                put((self, n), vals[last], edge)
                 if m > 0:
-                    dest = np.multiply(vals[:m], parts.a[:m], out=vals[:m])
+                    row[L if self.suffix else 0] = across
+                    dest = np.multiply(vals[:m], a[:m], out=vals[:m])
                     if self.suffix:
                         np.negative(dest, out=dest)
-                    yield (n if self.suffix else -n), dest
+                    yield (n if self.suffix else -n), dest, row[:m + 1]
             p_n = p_next
 
 
 def _qt_walks(elems, family: WeightFamily, t: float, window: IndexWindow,
-              mode: QtKernelMode, dtype=np.float64, norms: _NormSums | None = None):
+              mode: QtKernelMode, dtype, reduce, norms: _NormSums | None = None) -> list:
     """Q_t x of every element, block by block: all prefix sweeps bottom-up,
-    then all suffix sweeps top-down.
+    then all suffix sweeps top-down, on the ordered block driver of
+    qdbar.elements; returns each block's partial in that walk order.
 
-    Yields (suffix, i, L, arrays, outputs) per block, where `arrays` holds
-    w^2 and S from window position i on and `outputs` yields (element
-    number, output band, values) as _QtSweep.block does; it must be
-    exhausted before the walk resumes.  A walk with no sweep is skipped,
-    except that `norms` adds up every block of the bottom-up walk.
+    reduce(rows) is called once per worker, for a function block(suffix,
+    i, L, arrays, outputs) that returns a block's partial.  `arrays` holds
+    w^2, S and w from one index below window position i on (at the
+    window's first index, a copy of it), and `outputs` yields (element
+    number, output band, values, padded) as _QtSweep.block does.  The five
+    `rows` are the worker's: all are free until `outputs` is first
+    resumed, and rows 0 and 1 while a yielded band is in hand.  A walk with
+    no sweep is skipped, except that with `norms` the bottom-up walk is
+    made and covers the halo the norms read.
     """
     for elem in elems:
         _check_band_cap(elem)
-    K = window.size
-    bufs = np.empty((6, min(elements.BLOCK, K) + 1), dtype=dtype)
+    K, k_lo, size = window.size, window.k_lo, elements.BLOCK
+    starts = range(0, K, size)
+    tasks = []      # (suffix, sweeps, halo, i, first block of its sweep) per block
     for suffix in (False, True):
         sweeps = [(j, sweep) for j, sweep in enumerate(_QtSweep(e, suffix) for e in elems)
                   if sweep.coeffs]
@@ -334,24 +360,48 @@ def _qt_walks(elems, family: WeightFamily, t: float, window: IndexWindow,
         if not sweeps and reader is None:
             continue
         top = max((sweep.top for _, sweep in sweeps), default=-1)
-        # P_(top+1) over L + 1 columns reads w up to block position top + L
-        halo = max(top + 2, 0 if reader is None else reader.halo)
-        for i, L, arrays in _blocks(family, t, window.k_lo, window.k_hi, halo, suffix, dtype):
-            if reader is not None:
-                reader.add(i, L, arrays)
-            yield suffix, i, L, arrays, (
-                (j, b, vals) for j, sweep in sweeps
-                for b, vals in sweep.block(i, L, K, arrays, mode, bufs))
+        # from one index below: P_(top+1) over L + 1 columns reads w up to
+        # block position top + L, the norms S up to position halo + L - 1
+        halo = max(top + 2, 1 if reader is None else reader.halo + 1)
+        order = reversed(starts) if suffix else starts
+        tasks += [(suffix, sweeps, halo, i, n == 0) for n, i in enumerate(order)]
+    cap = min(size, K) + max((task[2] for task in tasks), default=0)
+    steps = np.arange(cap, dtype=np.float64)      # read by every worker
+
+    def worker(relay):
+        rows = np.empty((5, cap), dtype=dtype)
+        arrays = _WindowArrays(family, t, cap, dtype)
+        block = reduce(rows)
+
+        def part(j):
+            suffix, sweeps, halo, i, first = tasks[j]
+            L, start = min(size, K - i), k_lo + i - 1
+            k = np.add(steps[:L + halo], start, out=rows[2, :L + halo])   # exact
+            k[0] = max(start, k_lo)     # no index below the window is evaluated
+            arrays.fill(start, start + L + halo, k)
+
+            def take(key):
+                return (-0.0, 0.0) if first else relay.take(j, key)   # x + -0.0 == x
+
+            def put(key, *value):
+                relay.put(j, key, value)
+
+            return block(suffix, i, L, arrays, (
+                (e, b, vals, padded) for e, sweep in sweeps
+                for b, vals, padded in sweep.block(i, L, K, arrays, mode, rows, take, put)))
+        return part
+
+    return elements._ordered_blocks(len(tasks), worker, len(starts))
 
 
 def _band_norm_sq(b, vals, arrays, minus, buf, work) -> float:
     """sum mu_|b| |vals - y_b|^2 over one block of output band b, y = `minus`
-    (or 0) realized there; vals is overwritten, and `work` is read only
-    with `minus`."""
+    (or 0) realized there, with `arrays` from one index below the block;
+    vals is overwritten, and `work` is read only with `minus`."""
     m = vals.size
     if minus is not None:
-        vals -= _sample(minus.by_band[b], arrays.w_sq[:m], buf[:m], work[:m])
-    mu = band_weight(arrays.s, 0, abs(b), m, out=buf[:m])
+        vals -= _sample(minus.by_band[b], arrays.w_sq[1:m + 1], buf[:m], work[:m])
+    mu = band_weight(arrays.s, 1, abs(b), m, out=buf[:m])
     mu *= vals
     mu *= vals
     return float(np.sum(mu))
@@ -366,14 +416,19 @@ def apply_Qt(elem: LambdaElement, family: WeightFamily, t: float,
     for b > 0 and a prefix scan for b <= 0.  Sums run
     over the window: on the disk the prefix sums start at 0 exactly, on the
     annulus the omitted mass below k_lo is controlled by the window's lower
-    tail bound.  Each block `_qt_walks` yields is copied into the output
-    bands.
+    tail bound.  Each block of the `_qt_walks` is copied into its disjoint
+    slices of the output bands.
     """
     K = window.size
     bands = {b - 1: np.empty(max(K - abs(b - 1), 0), dtype=dtype) for b in elem.by_band}
-    for _, i, _, _, outputs in _qt_walks([elem], family, t, window, mode, dtype):
-        for _, b, vals in outputs:
-            bands[b][i:i + vals.size] = vals
+
+    def reduce(rows):
+        def block(suffix, i, L, arrays, outputs):
+            for _, b, vals, _ in outputs:
+                bands[b][i:i + vals.size] = vals
+        return block
+
+    _qt_walks([elem], family, t, window, mode, dtype, reduce)
     return BandMatrix(window, bands, valid_margin=0)
 
 
@@ -384,14 +439,20 @@ def qt_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
     realized at t, streamed without realizing either band matrix.
 
     `minus` needs a coefficient on every output band b - 1 of Q_t x, as
-    tilde_element gives.  Matches apply_Qt, realize_quantum, BandMatrix
-    subtraction and quantum_norm to rounding.
+    tilde_element gives.  The blocks' band sums are added up in walk
+    order.  Matches apply_Qt, realize_quantum, BandMatrix subtraction and
+    quantum_norm to rounding.
     """
-    buf, work = np.empty((2, min(elements.BLOCK, window.size)))
+    def reduce(rows):
+        def block(suffix, i, L, arrays, outputs):
+            return [_band_norm_sq(b, vals, arrays, minus, *rows[:2])
+                    for _, b, vals, _ in outputs]
+        return block
+
     total = 0.0
-    for _, _, _, arrays, outputs in _qt_walks([elem], family, t, window, mode):
-        for _, b, vals in outputs:
-            total += _band_norm_sq(b, vals, arrays, minus, buf, work)
+    for part in _qt_walks([elem], family, t, window, mode, np.float64, reduce):
+        for band_sum in part:
+            total += band_sum
     return total
 
 
@@ -401,17 +462,28 @@ def norm_pairs_sq(elems, family: WeightFamily, t: float, window: IndexWindow,
 
     One bottom-up walk sums every element's quantum norm and prefix sweep,
     one top-down walk every element's suffix sweep.  Each element keeps its
-    own running totals, added to in the order of the two functions, so both
-    numbers are their bits.  An element beyond the band cap raises only
-    when its norm is positive; otherwise its Q_t norm is reported as 0.0.
+    own running totals, added to in walk order and in the order of the two
+    functions, so both numbers are their bits.  An element beyond the band
+    cap raises only when its norm is positive; otherwise its Q_t norm is
+    reported as 0.0.
     """
     norms = _NormSums(elems, window.size)
-    qt = [0.0] * len(elems)
-    buf = np.empty(min(elements.BLOCK, window.size))
     swept = [elem if elem.N <= MAX_BAND else LambdaElement() for elem in elems]
-    for _, _, _, arrays, outputs in _qt_walks(swept, family, t, window, mode, norms=norms):
-        for j, b, vals in outputs:
-            qt[j] += _band_norm_sq(b, vals, arrays, None, buf, None)
+
+    def reduce(rows):
+        def block(suffix, i, L, arrays, outputs):
+            norm = None if suffix else \
+                norms.partial(i, L, arrays.w_sq[1:], arrays.s[1:], rows[:3])
+            return norm, [(j, _band_norm_sq(b, vals, arrays, None, rows[0], None))
+                          for j, b, vals, _ in outputs]
+        return block
+
+    qt = [0.0] * len(elems)
+    for norm, sums in _qt_walks(swept, family, t, window, mode, np.float64, reduce, norms):
+        if norm is not None:
+            norms.fold(norm)
+        for j, band_sum in sums:
+            qt[j] += band_sum
     for elem, norm_sq in zip(elems, norms.totals):
         if norm_sq > 0.0:       # the elements whose ratio is wanted
             _check_band_cap(elem)
@@ -520,7 +592,7 @@ class KernelOperatorSpec:
 
 def _kernel_weights(family: WeightFamily, t: float, window: IndexWindow, n: int):
     """(w, S) over [k_lo, k_hi + n + 2), what the kernels up to index n read."""
-    arrays = _WindowArrays(family, t, window.k_lo, window.k_hi + n + 2)
+    arrays = _WindowArrays(family, t, window.size + n + 1).fill(window.k_lo, window.k_hi + n + 2)
     return arrays.w, arrays.s       # w^2 is freed with `arrays`
 
 

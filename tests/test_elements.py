@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import admissible_families, band_specs
+from walk_oracle import norm_sq as sequential_norm_sq
 from qdbar import elements
 from qdbar.elements import (
-    BandMatrix, LambdaElement, PowerSum, Transform, _blocks, _NormSums, classical_norm,
+    BandMatrix, LambdaElement, PowerSum, Transform, classical_norm,
     coordinate_element, lambda_norm_sq, make_element, quantum_norm,
     realize_quantum, truncation_window, window_from_range,
 )
@@ -268,16 +269,6 @@ class TestQuantumNorm:
         streamed = lambda_norm_sq(e, fam, t, win)
         realized = quantum_norm(realize_quantum(e, fam, t, win), fam, t) ** 2
         assert streamed == pytest.approx(realized, rel=1e-13)
-
-
-def sequential_norm_sq(elem, fam, t, win):
-    """lambda_norm_sq as one walk in block order: _blocks and _NormSums.add."""
-    sums = _NormSums([elem], win.size)
-    if not sums.by_offset:
-        return 0.0
-    for i, L, arrays in _blocks(fam, t, win.k_lo, win.k_hi, sums.halo):
-        sums.add(i, L, arrays)
-    return sums.totals[0]
 
 
 def norm_sq_at(workers, *args):
