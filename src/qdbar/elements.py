@@ -14,9 +14,10 @@ The quantum norm is the weighted trace norm  tr(S^(1/2) a S^(1/2) a*)^(1/2);
 the classical norm is L^2 with respect to d(r^2) x (dphi / 2 pi).  Both are
 implemented band-wise with deterministic summation order.
 
-Streamed band primitives walk the window in fixed blocks of BLOCK indices,
-bottom-up or top-down.  Each block evaluates w^2 and S once for all bands,
-over the block and the halo of indices its band offsets read, so the
+Streamed band primitives walk the window on one block walk, `_walk`:
+passes of fixed blocks of BLOCK indices, bottom-up or top-down.  Each
+block evaluates w^2 and S once for all bands, from one index below the
+block over the block and the halo of indices its band offsets read, so the
 working set is O(BLOCK x bands) whatever the window size; only the output
 bands a caller asks for are window-sized.  The block size and the walk
 order are fixed, so every sum comes out the same on every run.
@@ -28,8 +29,8 @@ buffers, allocated once per walk, and refills them for every block.
 A block's partial sums are returned in block order and added up by the
 caller, and a value one block needs from the block before (the carry of a
 Q_t scan in qdbar.operators) is handed on through a `_Relay` as soon as
-it is ready.  So lambda_norm_sq and the Q_t walks give the same floats at
-one worker or two.
+it is ready.  So lambda_norm_sq, one pass of the walk, and the Q_t walks,
+two, give the same floats at one worker or two.
 """
 
 from __future__ import annotations
@@ -409,7 +410,6 @@ class IndexWindow:
 
     k_lo: int
     k_hi: int
-    tail_tol: float
     tail_bound_hi: float
     tail_bound_lo: float
 
@@ -437,7 +437,7 @@ def truncation_window(family: WeightFamily, t: float, tail_tol: float,
         raise WindowResourceError(
             f"window at t={t} needs indices out to {needed}, beyond the cap {k_cap}",
             needed=needed, cap=k_cap)
-    return IndexWindow(k_lo=k_lo, k_hi=k_hi, tail_tol=tail_tol,
+    return IndexWindow(k_lo=k_lo, k_hi=k_hi,
                        tail_bound_hi=family.tail_bound_hi(t, k_hi),
                        tail_bound_lo=family.tail_bound_lo(t, k_lo))
 
@@ -445,10 +445,8 @@ def truncation_window(family: WeightFamily, t: float, tail_tol: float,
 def window_from_range(family: WeightFamily, t: float, k_lo: int, k_hi: int) -> IndexWindow:
     """Window over an explicit range, carrying the bounds it actually achieves."""
     k_lo, k_hi = family.check_window(k_lo, k_hi)
-    hi = family.tail_bound_hi(t, k_hi)
-    lo = family.tail_bound_lo(t, k_lo)
-    return IndexWindow(k_lo=k_lo, k_hi=k_hi, tail_tol=max(hi, lo),
-                       tail_bound_hi=hi, tail_bound_lo=lo)
+    return IndexWindow(k_lo=k_lo, k_hi=k_hi, tail_bound_hi=family.tail_bound_hi(t, k_hi),
+                       tail_bound_lo=family.tail_bound_lo(t, k_lo))
 
 
 class BandMatrix:
@@ -689,41 +687,78 @@ def _ordered_blocks(blocks: int, worker, window_blocks: int) -> list:
     return parts
 
 
+def _walk(family: WeightFamily, t: float, window: IndexWindow, dtype, passes, rows: int,
+          reduce) -> list:
+    """Each block's partial of the passes over the window, in walk order.
+
+    A pass (top_down, halo, ...) walks the window's blocks of BLOCK indices
+    bottom-up, or top-down when top_down is true, on `_ordered_blocks`.
+    Each worker owns `rows` rows of the walk's dtype and a _WindowArrays,
+    allocated once per walk.  For the block at window position i, of L
+    indices, the arrays hold w^2, S and w over L + halo indices from one
+    index below the block (at the window's first index, a copy of it, so
+    no index below the window is evaluated); the last row holds their
+    exact-integer indices until the block writes it.
+
+    reduce(rows) is called once per worker, for a function block(p, i, L,
+    arrays, take, put) that returns the partial of the block at i in pass
+    p.  take(key, default) is the value the block before put under `key`,
+    once it is put, and `default` at a pass's first block; put(key, *value)
+    hands a value on to the next block.
+    """
+    K, k_lo = window.size, window.k_lo
+    starts = range(0, K, BLOCK)
+    tasks = [(p, i, n == 0) for p in passes
+             for n, i in enumerate(reversed(starts) if p[0] else starts)]
+    cap = min(BLOCK, K) + max((p[1] for p in passes), default=0)
+    steps = np.arange(cap, dtype=np.float64)      # read by every worker
+
+    def worker(relay):
+        buf = np.empty((rows, cap), dtype=dtype)
+        arrays = _WindowArrays(family, t, cap, dtype)
+        block = reduce(buf)
+
+        def part(j):
+            p, i, first = tasks[j]
+            L, start = min(BLOCK, K - i), k_lo + i - 1
+            n = L + p[1]
+            k = np.add(steps[:n], start, out=buf[-1, :n])     # exact integers
+            k[0] = max(start, k_lo)
+            arrays.fill(start, start + n, k)
+
+            def take(key, default):
+                return default if first else relay.take(j, key)
+
+            def put(key, *value):
+                relay.put(j, key, value)
+
+            return block(p, i, L, arrays, take, put)
+        return part
+
+    return _ordered_blocks(len(tasks), worker, len(starts))
+
+
 def lambda_norm_sq(elem: LambdaElement, family: WeightFamily, t: float,
                    window: IndexWindow) -> float:
     """Quantum norm squared of the element, streamed without realizing it.
 
-    Evaluates the banded double sum directly, block by block, so windows of
-    10^7-10^8 indices need O(BLOCK x bands) memory.  The blocks' sums are
-    computed by two workers where two CPUs are free (`_ordered_blocks`) and
-    added up in block order, so the result does not depend on the number of
-    workers.  Each worker fills its own _WindowArrays and two more buffers,
-    mu and c; c holds the block's indices until the coefficients are
-    sampled into it.  Matches realize + quantum_norm to rounding.
+    Evaluates the banded double sum directly, as one bottom-up pass of
+    `_walk`, so windows of 10^7-10^8 indices need O(BLOCK x bands) memory.
+    Each worker computes its blocks' sums in its two rows, mu and c, and
+    in w's buffer, which the norms never read; the sums are added up in
+    block order, so the result does not depend on the number of workers.
+    Matches realize + quantum_norm to rounding.
     """
     sums = _NormSums([elem], window.size)
     if not sums.by_offset:
         return 0.0
-    k_lo, size = window.k_lo, window.size
-    cap = min(BLOCK, size) + sums.halo
-    steps = np.arange(cap, dtype=np.float64)      # read by every worker
 
-    def worker(relay):
-        arrays = _WindowArrays(family, t, cap)
-        mu, c = np.empty((2, cap))
+    def reduce(rows):
+        def block(p, i, L, arrays, take, put):
+            return sums.partial(i, L, arrays.w_sq[1:], arrays.s[1:], (*rows, arrays._w_buf))
+        return block
 
-        def part(j):
-            i = j * BLOCK
-            L = min(BLOCK, size - i)
-            n = L + sums.halo
-            k = np.add(steps[:n], k_lo + i, out=c[:n])      # exact integers
-            arrays.fill(k_lo + i, k_lo + i + n, k)
-            # the norms never read w, so its buffer is free work space
-            return sums.partial(i, L, arrays.w_sq, arrays.s, (mu, c, arrays._w_buf))
-        return part
-
-    blocks = -(-size // BLOCK)
-    for part in _ordered_blocks(blocks, worker, blocks):
+    for part in _walk(family, t, window, np.float64, [(False, sums.halo + 1)], 2, reduce):
         sums.fold(part)
     return sums.totals[0]
 

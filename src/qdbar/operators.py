@@ -20,8 +20,8 @@ hold identically on trusted entries.  The g-side is the same in both modes.
 Classically the modes correspond to the kernels r^(n-1)/rho^n and
 r^n/rho^(n+1) in the explicit inverse of d-bar.
 
-Q_t runs on the ordered block driver of qdbar.elements in two sweeps: the
-prefix bands bottom-up and the suffix bands top-down.  Each block shares one
+Q_t runs on the block walk of qdbar.elements in two passes: the prefix
+bands bottom-up and the suffix bands top-down.  Each block shares one
 set of weight arrays and consecutive-weight products among its bands, and
 each band scans the block with the running sum of the block before it in
 its sweep (the carry) folded into its first summand.  The additions are
@@ -153,7 +153,6 @@ def dt_qt_residual(elem: LambdaElement, family: WeightFamily, t: float,
     """
     K = window.size
     n = min(elements.BLOCK, K)
-    steps = np.arange(n, dtype=np.float64)
 
     def reduce(rows):
         dt, scratch = rows[:2]          # D_t of a band's block and its scratch
@@ -164,8 +163,8 @@ def dt_qt_residual(elem: LambdaElement, family: WeightFamily, t: float,
         x, work = (spare[:n], spare[n:2 * n]) if spare.size >= 2 * n else np.empty((2, n))
 
         def block(suffix, i, L, arrays, outputs):
-            k = np.add(steps[:L], window.k_lo + i, out=x[:L])     # exact integers
-            family.weight_sq(t, k, out=w_sq[:L], work=work[:L])
+            np.copyto(x[:L], rows[-1, 1:L + 1])     # the block's indices, from the walk
+            family.weight_sq(t, x[:L], out=w_sq[:L], work=work[:L])
             sup = 0.0
             for _, c, _, a in outputs:
                 # entry j at position i + j; trusted positions [1, K - |c + 1| - 1);
@@ -288,10 +287,11 @@ class _QtSweep:
         `arrays` starts one index below the block.  `rows` has five rows of
         at least L + 1 entries: the kernel factors b and nu, the values and
         two of consecutive products (which also hold a).  Before its scan a
-        band n waits for take(key), the block before's carry and edge entry
-        under key (self, n), and hands its own on with put(key, carry, edge): the
-        edge entry is the band's first in the block for a suffix band, its
-        last for a prefix one, and 0.0 where the block holds none.
+        band n waits for take(key, default), the block before's carry and
+        edge entry under key (self, n), and hands its own on with put(key,
+        carry, edge): the edge entry is the band's first in the block for a
+        suffix band, its last for a prefix one, and 0.0 where the block
+        holds none.
         `values`, a view of rows[2], holds the output band at window
         positions [i, i + values.size), each entry at its smaller index;
         `padded` is `values` with the block before's edge entry in front
@@ -315,7 +315,7 @@ class _QtSweep:
                 np.multiply(parts.b, parts.nu, out=vals)
                 # b and nu are spent: the coefficient samples go into their rows
                 vals *= _sample(coeff, w_sq, b_row, nu_row)
-                carry, across = take((self, n))
+                carry, across = take((self, n), (-0.0, 0.0))   # x + -0.0 == x
                 vals[first] += carry
                 _scan(vals, direction, out=vals)
                 m = min(L, K - n - i)   # band +-n's columns in this block
@@ -333,65 +333,47 @@ class _QtSweep:
 
 
 def _qt_walks(elems, family: WeightFamily, t: float, window: IndexWindow,
-              mode: QtKernelMode, dtype, reduce, norms: _NormSums | None = None) -> list:
+              mode: QtKernelMode, dtype, reduce, halo: int | None = None) -> list:
     """Q_t x of every element, block by block: all prefix sweeps bottom-up,
-    then all suffix sweeps top-down, on the ordered block driver of
-    qdbar.elements; returns each block's partial in that walk order.
+    then all suffix sweeps top-down, as two passes of elements._walk;
+    returns each block's partial in that walk order.
 
     reduce(rows) is called once per worker, for a function block(suffix,
     i, L, arrays, outputs) that returns a block's partial.  `arrays` holds
-    w^2, S and w from one index below window position i on (at the
-    window's first index, a copy of it), and `outputs` yields (element
-    number, output band, values, padded) as _QtSweep.block does.  The five
-    `rows` are the worker's: all are free until `outputs` is first
-    resumed, and rows 0 and 1 while a yielded band is in hand.  A walk with
-    no sweep is skipped, except that with `norms` the bottom-up walk is
-    made and covers the halo the norms read.
+    the walk's w^2, S and w from one index below window position i on, and
+    `outputs` yields (element number, output band, values, padded) as
+    _QtSweep.block does.  The five `rows` are the worker's: all are free
+    until `outputs` is first resumed (the last holds the block's indices
+    until then), and rows 0 and 1 while a yielded band is in hand.  A pass
+    with no sweep is skipped, except that with `halo`, the widest band
+    offset of the caller's norms, the bottom-up pass is made and its S
+    covers the offsets the norms read.
     """
     for elem in elems:
         _check_band_cap(elem)
-    K, k_lo, size = window.size, window.k_lo, elements.BLOCK
-    starts = range(0, K, size)
-    tasks = []      # (suffix, sweeps, halo, i, first block of its sweep) per block
+    passes = []
     for suffix in (False, True):
         sweeps = [(j, sweep) for j, sweep in enumerate(_QtSweep(e, suffix) for e in elems)
                   if sweep.coeffs]
-        reader = None if suffix else norms
-        if not sweeps and reader is None:
-            continue
-        top = max((sweep.top for _, sweep in sweeps), default=-1)
-        # from one index below: P_(top+1) over L + 1 columns reads w up to
-        # block position top + L, the norms S up to position halo + L - 1
-        halo = max(top + 2, 1 if reader is None else reader.halo + 1)
-        order = reversed(starts) if suffix else starts
-        tasks += [(suffix, sweeps, halo, i, n == 0) for n, i in enumerate(order)]
-    cap = min(size, K) + max((task[2] for task in tasks), default=0)
-    steps = np.arange(cap, dtype=np.float64)      # read by every worker
+        reads = None if suffix else halo
+        if sweeps or reads is not None:
+            top = max((sweep.top for _, sweep in sweeps), default=-1)
+            # from one index below: P_(top+1) over L + 1 columns reads w up to
+            # block position top + L, the norms S up to position reads + L - 1
+            passes.append((suffix, max(top + 2, 1 if reads is None else reads + 1), sweeps))
+    K = window.size
 
-    def worker(relay):
-        rows = np.empty((5, cap), dtype=dtype)
-        arrays = _WindowArrays(family, t, cap, dtype)
+    def sweep_blocks(rows):
         block = reduce(rows)
 
-        def part(j):
-            suffix, sweeps, halo, i, first = tasks[j]
-            L, start = min(size, K - i), k_lo + i - 1
-            k = np.add(steps[:L + halo], start, out=rows[2, :L + halo])   # exact
-            k[0] = max(start, k_lo)     # no index below the window is evaluated
-            arrays.fill(start, start + L + halo, k)
-
-            def take(key):
-                return (-0.0, 0.0) if first else relay.take(j, key)   # x + -0.0 == x
-
-            def put(key, *value):
-                relay.put(j, key, value)
-
+        def run(p, i, L, arrays, take, put):
+            suffix, _, sweeps = p
             return block(suffix, i, L, arrays, (
                 (e, b, vals, padded) for e, sweep in sweeps
                 for b, vals, padded in sweep.block(i, L, K, arrays, mode, rows, take, put)))
-        return part
+        return run
 
-    return elements._ordered_blocks(len(tasks), worker, len(starts))
+    return elements._walk(family, t, window, dtype, passes, 5, sweep_blocks)
 
 
 def _band_norm_sq(b, vals, arrays, minus, buf, work) -> float:
@@ -479,7 +461,8 @@ def norm_pairs_sq(elems, family: WeightFamily, t: float, window: IndexWindow,
         return block
 
     qt = [0.0] * len(elems)
-    for norm, sums in _qt_walks(swept, family, t, window, mode, np.float64, reduce, norms):
+    for norm, sums in _qt_walks(swept, family, t, window, mode, np.float64, reduce,
+                                 norms.halo):
         if norm is not None:
             norms.fold(norm)
         for j, band_sum in sums:
@@ -667,24 +650,28 @@ def operator_norm_estimate(spec: KernelOperatorSpec, iters: int = 500,
     if iters < 1:
         raise ParameterError("iters must be >= 1")
     p = spec.parts
-    out_w = np.sqrt(p.mu) * p.a     # output-side factor, fixed across iterations
-    in_w = p.b * np.sqrt(p.nu)      # input-side factor
+    # T v = out_w scan(in_w v) and T* y = in_w scan(out_w y) with the fixed
+    # factors out_w = sqrt(mu) a and in_w = b sqrt(nu): T*T multiplies by
+    # out_w^2 = mu a^2 once
+    out_sq = p.mu * p.a * p.a
+    in_w = p.b * np.sqrt(p.nu)
     other = "prefix" if p.direction == "suffix" else "suffix"
-    # every step runs in these three buffers, so it allocates nothing
+    # every step runs in these three buffers, so it allocates nothing; the
+    # dot products are einsum's own loop, which sums in one fixed order
+    # (BLAS's order depends on its thread count)
     v = np.ones(p.a.size)
     u = np.empty_like(v)
     buf = np.empty_like(v)
-    v /= np.linalg.norm(v)
+    v /= np.sqrt(np.einsum("i,i", v, v))
     lam = 0.0
     for it in range(1, iters + 1):
-        np.multiply(in_w, v, out=u)         # forward: out_w * scan(in_w * v)
+        np.multiply(in_w, v, out=u)
         _scan(u, p.direction, out=buf)
-        np.multiply(out_w, buf, out=buf)
-        np.multiply(out_w, buf, out=u)      # adjoint: in_w * scan(out_w * y)
+        np.multiply(out_sq, buf, out=u)
         _scan(u, other, out=buf)
         np.multiply(in_w, buf, out=u)
-        new_lam = float(v @ u)
-        norm_u = np.linalg.norm(u)
+        new_lam = float(np.einsum("i,i", v, u))
+        norm_u = np.sqrt(np.einsum("i,i", u, u))
         if norm_u == 0.0:
             return NormEstimate(0.0, True, it, 0.0)
         np.divide(u, norm_u, out=v)

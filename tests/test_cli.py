@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -556,6 +559,28 @@ class TestMain:
 
     def test_cli_missing_config(self, tmp_path):
         assert main(["norms", "--config", str(tmp_path / "nope.json")]) == EXIT_SYNTAX
+
+    def test_schur_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the benchmark's kernel-bounds schur config; the power iteration's
+        # dot products must not follow BLAS's thread count, which is fixed
+        # when numpy loads, so each count runs in a process of its own
+        cfgfile = tmp_path / "schur.json"
+        cfgfile.write_text(json.dumps({
+            "experiment": "schur",
+            "family": {"kind": "bilateral_rational", "alpha": 1.0, "beta": 0.5},
+            "t_grid": [0.5, 0.1, 0.01], "truncation": {"tail_tol": 1e-3},
+            "qt_kernel": "corrected", "schur": {"max_n": 8, "iters": 600}}))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "qdbar.cli", "schur", "--config", str(cfgfile),
+                            "--out", str(out)], env=env, check=True, capture_output=True,
+                           timeout=120)
+            reports.append((out / "schur.csv").read_bytes())
+        assert reports[0] == reports[1]
 
 
 def _fuzz_example(experiment, **config):
