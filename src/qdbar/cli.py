@@ -564,7 +564,8 @@ def main(argv=None) -> int:
                         for name, exp in _TABLE.items())
                     + ". CSV floats use shortest round-trip decimals. Exit "
                     "codes: 0 ok, 2 condition failure, 3 numerical failure, "
-                    "4 property failure, 64/65 config syntax/invalid, 70 "
+                    "4 property failure, 64/65 config syntax/invalid (64 also "
+                    "for an unreadable config or unwritable output), 70 "
                     "internal error (details in the manifest).")
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
@@ -584,7 +585,11 @@ def main(argv=None) -> int:
     except ConfigInvalidError as exc:
         print(f"qdbar: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    artifacts = run_experiment(config, out_dir=args.out, fmt=args.format)
+    try:
+        artifacts = run_experiment(config, out_dir=args.out, fmt=args.format)
+    except OSError as exc:      # the output directory could not be made or written
+        print(f"qdbar: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_SYNTAX
     print(f"{config.experiment}: {artifacts.report_path} "
           f"(exit {artifacts.exit_code})")
     return artifacts.exit_code

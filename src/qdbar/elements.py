@@ -420,16 +420,12 @@ class IndexWindow:
 
 def truncation_window(family: WeightFamily, t: float, tail_tol: float,
                       k_cap: int = DEFAULT_K_CAP) -> IndexWindow:
-    """Smallest window whose tail bounds are <= tail_tol (closed-form solve).
+    """Smallest window whose tail bounds are <= tail_tol.
 
-    The cap is checked against the closed-form guess before the exact solve,
-    so a window far beyond the cap fails without searching for its edge.
+    Each edge is one bisection of the family's closed-form tail bound (see
+    WeightFamily.solve_k_hi), so a window beyond the cap costs the same two
+    solves as any other before it fails.
     """
-    guess = family.k_hi_guess(t, tail_tol)   # raises on tail_tol <= 0
-    if guess - 2.0 > k_cap:
-        raise WindowResourceError(
-            f"window at t={t} needs indices out to about {guess:.6g}, beyond the cap {k_cap}",
-            needed=math.ceil(guess) if math.isfinite(guess) else guess, cap=k_cap)
     k_hi = family.solve_k_hi(t, tail_tol)
     k_lo = family.solve_k_lo(t, tail_tol)
     needed = max(k_hi, abs(k_lo))

@@ -185,8 +185,9 @@ def uniform_bound_scan(elems, family, t_grid, tail_tol: float,
 
     The ratio is a supremum over x != 0, so an element that vanishes on the
     window (all-zero coefficients, or bands wider than the window) is left
-    out; with none left the row reports 0.  Each t walks its window twice
-    for all elements together (norm_pairs_sq).
+    out; with none left the row reports 0.  A NaN ratio or a NaN |x|^2 (an
+    overflowed norm) makes the row's max_ratio NaN and so not within the cap.
+    Each t walks its window twice for all elements together (norm_pairs_sq).
     """
     if not elems:
         raise ParameterError("element list must be nonempty")
@@ -195,10 +196,10 @@ def uniform_bound_scan(elems, family, t_grid, tail_tol: float,
     rows = []
     for t in ts:
         win = truncation_window(family, t, tail_tol, k_cap)
-        worst = 0.0
-        for norm_sq, qx_norm_sq in norm_pairs_sq(elems, family, t, win, mode):
-            if norm_sq > 0.0:
-                worst = max(worst, float(np.sqrt(qx_norm_sq)) / float(np.sqrt(norm_sq)))
+        ratios = [float(np.sqrt(qx_norm_sq)) / float(np.sqrt(norm_sq))
+                  for norm_sq, qx_norm_sq in norm_pairs_sq(elems, family, t, win, mode)
+                  if not norm_sq <= 0.0]
+        worst = float(np.max(ratios, initial=0.0))    # NaN-propagating, unlike max
         rows.append(UniformBoundRow(t=t, max_ratio=worst, schur_cap=cap,
                                     within_cap=worst <= cap * (1 + 1e-12)))
     return rows

@@ -19,6 +19,7 @@ always a runtime argument so one family serves a whole t-grid.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -53,28 +54,22 @@ def _zero_below_disk(k, out, work):
     return out
 
 
-def _least_passing(passes, start):
-    """Smallest k >= 0 with passes(k), for a predicate false below and true above it.
+def _least_passing(passes, t, tol):
+    """Least k in [0, 2^53] with passes(k), for a predicate false below and true above it.
 
-    Steps of doubling length from `start` bracket the answer and an integer
-    bisection then closes the bracket, so a start far off (a tail bound that
-    cancels resolves only about one unit in the last place) costs
-    O(log distance) calls instead of one call per index.
+    One bisection of the whole range: 54 calls, wherever the answer lies.
+    Raises ParameterError for tol <= 0 and WindowResourceError when no index
+    up to 2^53 passes, beyond which float indices no longer resolve single
+    integers.
     """
-    step = 1
-    if passes(start):
-        lo, hi = start - 1, start      # passes(hi); lo fails or is -1
-        while lo >= 0 and passes(lo):
-            hi, lo, step = lo, lo - 2 * step, 2 * step
-        lo = max(lo, -1)
-    else:
-        lo, hi = start, start + 1      # lo fails
-        while not passes(hi):
-            lo, hi, step = hi, hi + 2 * step, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-    return hi
+    _check_t(t)
+    if tol <= 0:
+        raise ParameterError("tail tolerance must be positive")
+    k = bisect.bisect_left(range(2**53 + 1), True, key=passes)
+    if k > 2**53:
+        raise WindowResourceError(
+            f"window at t={t} needs indices beyond 2^53 for tail {tol}", needed=k, cap=2**53)
+    return k
 
 
 @dataclass(frozen=True)
@@ -82,14 +77,15 @@ class WeightFamily:
     """A weight family with its closed-form limits, tail bounds and moduli.
 
     Each built-in family is a subclass that sets the class attribute `kind`
-    and owns its formulas: the `_weight_sq`, `_s` and `_k_hi_guess` hooks,
-    the tail bounds, the moduli and `wconst_analytic`.  `_weight_sq(t, k,
-    out, work)` and `_s` write their values into `out`, with `work` as the
-    one intermediate, so a caller that walks many index blocks reuses both.
-    A bilateral family
-    has w_t(k)^2 = alpha + beta g(tk) with an odd profile g and sets
-    `_spread` = beta g(+inf), so w_plus^2, w_minus^2 = alpha +- spread; the
-    base `_from_params` checks the parameters with it.  The base methods
+    and owns its formulas: the `_weight_sq` and `_s` hooks, the tail bounds
+    (closed forms that do not cancel, from which `solve_k_hi` and
+    `solve_k_lo` bisect the window edges), the moduli and `wconst_analytic`.
+    `_weight_sq(t, k, out, work)` and `_s` write their values into `out`,
+    with `work` as the one intermediate, so a caller that walks many index
+    blocks reuses both.  A bilateral family has w_t(k)^2 = alpha + beta g(tk)
+    with an odd profile g and sets `_spread` = beta g(+inf), so w_plus^2,
+    w_minus^2 = alpha +- spread; the base `_from_params` checks the
+    parameters with it.  The base methods
     treat the index set as Z (`domain` is the annulus); the disk family
     overrides the ones that look below k = 0.  Build families with
     `make_family`, which validates the parameters.
@@ -159,38 +155,13 @@ class WeightFamily:
         """w_t(k_lo)^2 - w_minus^2, the omitted lower S-mass below k_lo."""
         return float(self.weight_sq(t, k_lo)) - self.w_minus**2
 
-    def k_hi_guess(self, t, tol):
-        """Closed-form real solution of tail_bound_hi(t, k) = tol.
-
-        solve_k_hi searches from it; the exact integer answer lies within a
-        few units of it where the tail bound has a closed form, and can lie
-        far from it where the bound cancels (bilateral_arctan at small tol).
-        """
-        _check_t(t)
-        if tol <= 0:
-            raise ParameterError("tail tolerance must be positive")
-        return self._k_hi_guess(t, tol)
-
     def solve_k_hi(self, t, tol):
-        """Smallest k >= 0 with tail_bound_hi(t, k) <= tol.
-
-        Searches from the closed-form guess (see _least_passing).  Raises
-        WindowResourceError when the guess is not finite or lies beyond 2^53,
-        where float indices no longer resolve single integers.
-        """
-        guess = self.k_hi_guess(t, tol)
-        if not guess <= 2.0**53:
-            raise WindowResourceError(
-                f"window needs indices out to about {guess:.6g}, beyond 2^53",
-                needed=guess, cap=2**53)
-        return _least_passing(lambda k: self.tail_bound_hi(t, k) <= tol,
-                              max(0, math.ceil(guess - 2.0)))
+        """Smallest k >= 0 with tail_bound_hi(t, k) <= tol (see _least_passing)."""
+        return _least_passing(lambda k: self.tail_bound_hi(t, k) <= tol, t, tol)
 
     def solve_k_lo(self, t, tol):
-        """Largest k <= 0 with tail_bound_lo(t, k) <= tol."""
-        # Both bilateral families are symmetric: search from the upper solve.
-        return -_least_passing(lambda j: self.tail_bound_lo(t, -j) <= tol,
-                               self.solve_k_hi(t, tol))
+        """Largest k <= 0 with tail_bound_lo(t, k) <= tol (see _least_passing)."""
+        return -_least_passing(lambda j: self.tail_bound_lo(t, -j) <= tol, t, tol)
 
     # -- closed-form moduli (where the family admits them) -----------------
 
@@ -281,13 +252,6 @@ class UnilateralExample(WeightFamily):
         _check_t(t)
         return float(self.weight_sq(t, k_lo)) if k_lo > 0 else 0.0
 
-    def _k_hi_guess(self, t, tol):
-        return (1.0 / tol - 1.0) / t - 1.0
-
-    def solve_k_lo(self, t, tol):
-        """0, the disk's first index."""
-        return 0
-
     def h1_closed(self, t):
         """sup_k S_t(k) in closed form."""
         return t / (1.0 + t)
@@ -357,9 +321,6 @@ class BilateralRational(WeightFamily):
         _check_t(t)
         return self.beta / (1.0 + t * abs(k))
 
-    def _k_hi_guess(self, t, tol):
-        return (self.beta / tol - 1.0) / t
-
     def h1_closed(self, t):
         """sup_k S_t(k) in closed form."""
         return self.beta * t / (1.0 + t)
@@ -403,12 +364,15 @@ class BilateralArctan(WeightFamily):
         out *= self.beta
         return out
 
-    def _k_hi_guess(self, t, tol):
-        x = tol / self.beta
-        if x >= math.pi / 2:
-            return 0.0
-        d = t * math.tan(x)
-        return 1.0 / d if d > 0.0 else math.inf   # d underflows for tiny tol
+    def tail_bound_hi(self, t, k_hi):
+        """beta (pi/2 - arctan(t k_hi)) as beta atan2(1, t k_hi), which never cancels."""
+        _check_t(t)
+        return self.beta * math.atan2(1.0, t * k_hi)
+
+    def tail_bound_lo(self, t, k_lo):
+        """beta (arctan(t k_lo) + pi/2) as beta atan2(1, -t k_lo)."""
+        _check_t(t)
+        return self.beta * math.atan2(1.0, -t * k_lo)
 
     def h1_closed(self, t):
         """sup_k S_t(k) in closed form."""

@@ -374,15 +374,17 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("experiment", ["inverse", "schur"])
     def test_window_failure_names_t(self, tmp_path, experiment):
-        # these drivers solve their windows directly, not through limits
-        cfg = parse_config(minimal_config(
-            experiment=experiment, t_grid=[0.001],
-            truncation={"tail_tol": 1e-6, "k_cap": 1000}))
-        art = run_experiment(cfg, out_dir=tmp_path)
-        assert art.exit_code == EXIT_NUMERICAL
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["status"].startswith("numerical-failure")
-        assert "t=0.001" in manifest["status"]
+        # these drivers solve their windows directly, not through limits;
+        # the window is beyond k_cap at tail 1e-6 and beyond 2^53 at 1e-300
+        for tail in (1e-6, 1e-300):
+            cfg = parse_config(minimal_config(
+                experiment=experiment, t_grid=[0.001],
+                truncation={"tail_tol": tail, "k_cap": 1000}))
+            art = run_experiment(cfg, out_dir=tmp_path / str(tail))
+            assert art.exit_code == EXIT_NUMERICAL
+            manifest = json.loads(art.manifest_path.read_text())
+            assert manifest["status"].startswith("numerical-failure")
+            assert "t=0.001" in manifest["status"]
 
     def test_divergent_classical_norm_manifest(self, tmp_path):
         # c = s^(-1/2): int_0 c^2 ds = int_0 ds / s diverges on the disk
@@ -451,6 +453,22 @@ class TestRunExperiment:
         art = run_experiment(cfg, out_dir=tmp_path)
         assert art.exit_code == EXIT_OK
         assert [row["max_ratio"] for row in art.rows] == [0.0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the intended overflow
+    def test_uniform_bound_overflow_is_a_property_failure(self, tmp_path):
+        # |x|^2 and |Q_t x|^2 overflow to inf, so the ratio is inf/inf = NaN
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({
+            "family": {"kind": "unilateral_example"}, "experiment": "uniform-bound",
+            "elements": [[{"side": "f", "n": 1, "kind": "poly", "coeffs": [1e200]}]],
+            "t_grid": [0.5, 0.2], "truncation": {"tail_tol": 1e-3}}))
+        out = tmp_path / "o"
+        assert main(["uniform-bound", "--config", str(cfgfile),
+                     "--out", str(out)]) == EXIT_PROPERTY
+        rows = (out / "uniform-bound.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1::2] for row in rows] == [["nan", "false"]] * 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "property-failure"
 
     @pytest.mark.parametrize("experiment, extra", [
         ("parametrix", {"element": [{"side": "g", "n": 2, "kind": "poly",
@@ -559,6 +577,13 @@ class TestMain:
 
     def test_cli_missing_config(self, tmp_path):
         assert main(["norms", "--config", str(tmp_path / "nope.json")]) == EXIT_SYNTAX
+
+    def test_cli_out_naming_a_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(minimal_config(t_grid=[0.3], truncation={"tail_tol": 1e-3}))
+        assert main(["norms", "--config", str(cfgfile), "--out", str(cfgfile)]) == EXIT_SYNTAX
+        err = capsys.readouterr().err
+        assert err.startswith("qdbar: cannot write") and err.count("\n") == 1
 
     def test_schur_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the benchmark's kernel-bounds schur config; the power iteration's

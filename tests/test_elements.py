@@ -155,11 +155,35 @@ class TestTruncationWindow:
             truncation_window(fam, 0.5, tol, k_cap=1000)
         assert time.perf_counter() - started < 1.0
 
-    @pytest.mark.parametrize("fam", [disk(), annulus()])
+    @pytest.mark.parametrize("fam", [
+        disk(), annulus(), make_family("bilateral_arctan", alpha=1.0, beta=0.5)])
     @pytest.mark.parametrize("t", [0.5, 0.07])
     @pytest.mark.parametrize("tol", [1e-2, 1e-4, 3.3e-5])
     def test_matches_search_oracle(self, fam, t, tol):
         assert truncation_window(fam, t, tol).k_hi == search_window_size(fam, t, tol)
+
+    @pytest.mark.parametrize("fam", [
+        disk(), annulus(), make_family("bilateral_arctan", alpha=1.0, beta=0.5)])
+    @pytest.mark.parametrize("t, tol, k_cap", [
+        (0.5, 1e-3, elements.DEFAULT_K_CAP), (1e-4, 1e-10, 2**53),
+        (1e-3, 1e-9, 1000), (0.5, 1e-300, 1000)],
+        ids=["small", "trillions", "beyond-cap", "beyond-2^53"])
+    def test_two_bisections_of_tail_evaluations(self, monkeypatch, fam, t, tol, k_cap):
+        # each edge is one bisection of [0, 2^53] (54 evaluations), and the
+        # window's two bounds are evaluated once more
+        calls = []
+        for name in ("tail_bound_hi", "tail_bound_lo"):
+            bound = getattr(type(fam), name)
+
+            def counted(self, *args, bound=bound):
+                calls.append(args)
+                return bound(self, *args)
+            monkeypatch.setattr(type(fam), name, counted)
+        try:
+            truncation_window(fam, t, tol, k_cap=k_cap)
+        except WindowResourceError:
+            pass
+        assert 0 < len(calls) <= 2 * 54 + 2
 
     def test_monotone_in_tolerance(self):
         sizes = [truncation_window(disk(), 0.2, tol).k_hi

@@ -298,6 +298,17 @@ class TestUniformBoundScan:
                              for name in ("weight_sq", "s") for t in ts}
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("pairs", [
+        [(math.nan, 1.0), (1.0, 0.25)], [(1.0, 0.25), (math.inf, math.inf)]],
+        ids=["nan-norm", "inf-over-inf"])
+    def test_nan_ratio_is_not_within_the_cap(self, monkeypatch, pairs):
+        # Python's max drops a NaN that comes second and a NaN |x|^2 fails
+        # "> 0"; either must make the row NaN, wherever it comes
+        monkeypatch.setattr(limits, "norm_pairs_sq", lambda *args: iter(pairs))
+        row, = uniform_bound_scan([coordinate_element("one")], disk(), [0.5], 1e-3)
+        assert math.isnan(row.max_ratio) and type(row.max_ratio) is float
+        assert row.within_cap is False
+
     def test_band_cap_only_for_a_nonzero_element(self):
         wide = make_element([{"side": "f", "n": 17, "kind": "poly", "coeffs": [1.0]}])
         # window [0, 2]: the band lies wholly outside it, the element is left out

@@ -107,14 +107,32 @@ class TestSValues:
 
 class TestSolveKHi:
     @pytest.mark.parametrize("fam, tol", [
-        (disk(), 1e-300),                                                  # guess 2e300
-        (make_family("bilateral_arctan", alpha=3.0, beta=1.0), 1e-320),    # guess inf
+        (disk(), 1e-300),                                                  # k_hi ~ 2e300
+        (make_family("bilateral_arctan", alpha=3.0, beta=1.0), 1e-320),    # k_hi ~ 2e320
     ], ids=["disk-beyond-2^53", "arctan-non-finite"])
     def test_resource_error_in_bounded_time(self, fam, tol):
         started = time.perf_counter()
         with pytest.raises(WindowResourceError):
             fam.solve_k_hi(0.5, tol)
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("fam", [disk(), annulus(), annulus_arctan()])
+    def test_rejects_nonpositive_tolerance(self, fam):
+        for solve in (fam.solve_k_hi, fam.solve_k_lo):
+            with pytest.raises(ParameterError, match="positive"):
+                solve(0.5, 0.0)
+
+
+class TestTailBounds:
+    @pytest.mark.parametrize("t", [0.5, 1e-2, 1e-4])
+    def test_arctan_tails_match_extended_precision(self, t):
+        # beta (pi/2 -+ arctan(t k)) is beta atan2(1, +-t k); the difference
+        # w_plus^2 - w_t(k)^2 would cancel to about 3e-4 relative here
+        fam, ld = annulus_arctan(), np.longdouble
+        for k in (0, 1, 7, 10**3, 10**6, 10**9, 10**11, 10**13):
+            want = 0.5 * np.arctan2(ld(1), ld(t) * ld(k))
+            for got in (fam.tail_bound_hi(t, k), fam.tail_bound_lo(t, -k)):
+                assert abs(ld(got) - want) <= 1e-14 * want
 
 
 class TestCommutationIdentity:
@@ -267,18 +285,18 @@ class TestFamilyProperties:
         else:
             assert fam.check_window(k_lo, k_hi) == (k_lo, k_hi)
 
-    @pytest.mark.parametrize("tol, want", [(1e-9, 5_000_000_820_997),
-                                           (1e-10, 50_000_119_333_060)])
+    @pytest.mark.parametrize("tol, want", [(1e-9, 5_000_000_000_000),
+                                           (1e-10, 50_000_000_000_000)])
     def test_arctan_solve_far_from_its_guess_is_fast(self, tol, want):
-        # the cancelling tail bound puts the answer ~8e5 (1e-9) and ~8e7
-        # (1e-10) indices from the closed-form guess
+        # the minimal windows beta / (t tol) under the exact tail, trillions
+        # of indices out: each solve is one bisection of 54 tail evaluations
         fam, t = annulus_arctan(), 1e-4
         for solve in (fam.solve_k_hi, fam.solve_k_lo):
             started = time.perf_counter()
             solve(t, tol)
             assert time.perf_counter() - started < 0.1
         k_hi, k_lo = fam.solve_k_hi(t, tol), fam.solve_k_lo(t, tol)
-        assert k_hi == want     # as a walk of one index per step finds it
+        assert k_hi == want == -k_lo
         assert fam.tail_bound_hi(t, k_hi) <= tol < fam.tail_bound_hi(t, k_hi - 1)
         assert fam.tail_bound_lo(t, k_lo) <= tol < fam.tail_bound_lo(t, k_lo + 1)
 

@@ -7,7 +7,7 @@ identical, so one `diff` of two runs settles a refactor:
     python3 tools/output_digest.py > b.txt        # in the other
     diff a.txt b.txt
 
-Four parts, printed in this order:
+Five parts, printed in this order:
 
 * `workloads`: the report and the manifest of every config of the
   benchmark's workloads (`perfbench/workloads.py`, imported, never edited)
@@ -25,9 +25,13 @@ Four parts, printed in this order:
   indices span several blocks: `lambda_norm_sq` and `qt_norm_sq` (both
   modes, alone and less the realized `tilde_element`) of every element of
   the band part, and the rows of `uniform_bound_scan` over all of them.
+* `windows`: k_lo, k_hi and both tail bounds (`repr`) of
+  `truncation_window` for three families, t in {0.5, 1e-2, 1e-4} and tail
+  in {1e-3, 1e-6, 1e-9, 1e-10}, with the cap at 2^53 so the windows of
+  up to 1e14 indices are solved, never walked.
 
 qdbar is imported from `src/` next to this directory.  On 2 CPUs the
-workloads take about 20 s, and the other three parts together as long.
+workloads take about 20 s, and the other four parts together as long.
 The output does not depend on the number of CPUs: pinned to one
 (`taskset -c 0`), which forces the block walks onto one worker, the
 script prints the same lines as on two.
@@ -165,8 +169,17 @@ def norm_lines():
                        f"{row.max_ratio!r} {row.schur_cap!r} {row.within_cap}")
 
 
+def window_lines():
+    for fname, fam in families().items():
+        for t in (0.5, 1e-2, 1e-4):
+            for tail in (1e-3, 1e-6, 1e-9, 1e-10):
+                win = truncation_window(fam, t, tail, k_cap=2**53)
+                yield (f"windows {fname} t={t} tail={tail} [{win.k_lo}, {win.k_hi}] "
+                       f"{win.tail_bound_lo!r} {win.tail_bound_hi!r}")
+
+
 def main() -> int:
-    for part in (workload_lines, band_lines, inverse_lines, norm_lines):
+    for part in (workload_lines, band_lines, inverse_lines, norm_lines, window_lines):
         for line in part():
             print(line, flush=True)
     return 0
